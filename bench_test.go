@@ -282,16 +282,14 @@ func BenchmarkClusterPipeline(b *testing.B) {
 }
 
 // BenchmarkClusterPipelineWorkers runs the full pipeline across worker
-// counts. workers=1 is the all-serial baseline (the dispatcher always
-// takes the serial engines at one worker); workers≥2 run the parallel
-// link builder and batched merge engine, with MergeSerialBelow -1
-// forcing the batched engine even below its crossover. Output is
-// byte-identical across worker counts; only wall-clock may differ.
+// counts. workers=1 is the all-serial baseline; workers≥2 shard the
+// neighbor and link phases. Output is byte-identical across worker
+// counts; only wall-clock may differ.
 func BenchmarkClusterPipelineWorkers(b *testing.B) {
 	d := benchBasket(2000)
 	for _, w := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
-			cfg := rock.Config{Theta: 0.6, K: 10, Seed: 1, Workers: w, MergeSerialBelow: -1}
+			cfg := rock.Config{Theta: 0.6, K: 10, Seed: 1, Workers: w}
 			for i := 0; i < b.N; i++ {
 				if _, err := rock.Cluster(d.Trans, cfg); err != nil {
 					b.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		out    = flag.String("out", "", "write reports to this file instead of stdout")
 		links  = flag.Bool("links", false, "run the serial-vs-parallel link builder sweep and write BENCH_links.json (or -out)")
-		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (map vs arena vs batched-parallel) and write BENCH_merge.json (or -out)")
+		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (map reference vs arena) and write BENCH_merge.json (or -out)")
 		label  = flag.Bool("label", false, "run the labeling sweep (pairwise reference vs indexed vs sharded) and write BENCH_label.json (or -out)")
 		assign = flag.Bool("assign", false, "run the frozen-model serving sweep (pairwise reference vs Model.Assign/AssignBatch + save/load cost) and write BENCH_assign.json (or -out)")
 		srv    = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
@@ -122,7 +122,7 @@ the performance-trajectory records — one bench mode per record:
 
   -links   serial-vs-parallel link builder sweep   → BENCH_links.json
   -merge   agglomeration engine sweep              → BENCH_merge.json
-           (map reference vs serial arena vs parallel batched rounds)
+           (map reference vs the serial arena engine)
   -label   labeling-phase sweep                    → BENCH_label.json
            (pairwise reference vs inverted-index vs sharded workers)
   -assign  frozen-model serving sweep              → BENCH_assign.json
@@ -164,9 +164,8 @@ Flags:
 Caveat for the BENCH_*.json sweeps: parallel speedups are only visible
 when GOMAXPROCS exceeds one. On a single-CPU host the worker goroutines
 serialize, so the recorded "parallel" columns show only the algorithmic
-differences (array counting vs map inserts for links; round-level heap
-repair for merges; inverted-index counting vs pairwise similarity for
-labeling and model serving). Regenerate on a multi-core host to capture
+differences (array counting vs map inserts for links; inverted-index
+counting vs pairwise similarity for labeling and model serving). Regenerate on a multi-core host to capture
 the scaling curve; the current GOMAXPROCS is recorded in each file.
 `)
 }

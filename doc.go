@@ -31,15 +31,14 @@
 //
 // # Performance
 //
-// Every heavy phase — θ-neighbors, link computation, merging, labeling —
-// parallelizes under Config.Workers (0 means GOMAXPROCS) and produces
-// output byte-identical to its retained serial reference at every worker
-// count, enforced by randomized oracle tests under the race detector.
-// Small inputs take the serial paths automatically; Config's
-// LinkSerialBelow, MergeSerialBelow and LabelSerialBelow tune the
-// crossovers, trading only constant factors, never results.
-// ARCHITECTURE.md is the authoritative description of the machinery (the
-// CSR link table, the arena and batched merge engines, the labeling
+// Each heavy phase has one engine. θ-neighbors, link computation and
+// labeling parallelize under Config.Workers (0 means GOMAXPROCS); merging
+// runs on a serial, allocation-free arena. Every optimized engine
+// produces output byte-identical to its retained reference at every
+// worker count, enforced by randomized oracle tests under the race
+// detector; labeling runs serially below 1024 candidates, where sharding
+// would not pay. ARCHITECTURE.md is the authoritative description of the
+// machinery (the CSR link table, the arena merge engine, the labeling
 // index, the oracle discipline), and cmd/rockbench regenerates the
 // BENCH_*.json performance records alongside every table and figure of
 // the paper's evaluation.

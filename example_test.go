@@ -173,9 +173,9 @@ func ExampleModel_saveLoad() {
 	// identical assignments after the round trip: true
 }
 
-// ExampleConfig_workers runs the same clustering serially and with every
-// phase parallel. Workers bounds the goroutines in the neighbor, link,
-// and merge phases; results are byte-identical for every worker count —
+// ExampleConfig_workers runs the same clustering serially and with four
+// workers. Workers bounds the goroutines in the neighbor, link, and
+// labeling phases; results are byte-identical for every worker count —
 // parallelism trades only wall-clock, never output.
 func ExampleConfig_workers() {
 	d := rock.GenerateBasket(rock.BasketConfig{
@@ -189,16 +189,7 @@ func ExampleConfig_workers() {
 	if err != nil {
 		panic(err)
 	}
-	parallel, err := rock.Cluster(d.Trans, rock.Config{
-		Theta:   0.4,
-		K:       6,
-		Seed:    2,
-		Workers: 4,
-		// Force the parallel link builder and batched merge engine even
-		// below their built-in crossovers, just for the demonstration.
-		LinkSerialBelow:  -1,
-		MergeSerialBelow: -1,
-	})
+	parallel, err := rock.Cluster(d.Trans, rock.Config{Theta: 0.4, K: 6, Seed: 2, Workers: 4})
 	if err != nil {
 		panic(err)
 	}

@@ -66,37 +66,15 @@ type Config struct {
 	// MaxLabelPoints caps |L_i| per cluster; default 50.
 	MaxLabelPoints int
 
-	// Workers bounds parallelism in the neighbor, link, and merge phases;
-	// 0 = GOMAXPROCS. Results are byte-identical for every worker count:
-	// the batched merge engine commits conflict-free rounds whose output
-	// is provably the serial merge sequence.
+	// Workers bounds parallelism in the neighbor, link, and labeling
+	// phases; 0 = GOMAXPROCS. Results are byte-identical for every worker
+	// count. Labeling shards only runs of 1024 or more candidates; below
+	// that the goroutine handoff costs more than it saves. Independently
+	// of sharding, the labeler consults an inverted index over the
+	// labeled points for the built-in measures (exact — see
+	// label_indexed.go) and falls back to pairwise evaluation for custom
+	// Measure funcs.
 	Workers int
-	// LinkSerialBelow overrides the link-phase crossover: samples with
-	// fewer kept points than this use the serial map-based link builder,
-	// larger ones the sharded parallel CSR builder. 0 picks the built-in
-	// crossover; negative forces the parallel builder at every size. Both
-	// builders produce bit-identical tables — this knob only trades
-	// constant factors.
-	LinkSerialBelow int
-	// MergeSerialBelow overrides the merge-phase crossover: samples with
-	// fewer kept points than this agglomerate on the serial arena engine,
-	// larger ones on the parallel batched engine. 0 picks the built-in
-	// crossover; negative forces batched merge rounds at every size.
-	// Workers <= 1 always takes the serial engine regardless of this
-	// knob. Both engines produce byte-identical clusterings — the choice
-	// only trades constant factors.
-	MergeSerialBelow int
-	// LabelSerialBelow overrides the labeling-phase crossover: runs with
-	// fewer labeling candidates than this label on the serial loop,
-	// larger ones shard candidates across the workers. 0 picks the
-	// built-in crossover; negative forces sharding at every size.
-	// Workers <= 1 always takes the serial loop. Candidates are
-	// independent, so every path produces byte-identical assignments —
-	// the knob only trades constant factors. Independently of sharding,
-	// the labeler consults an inverted index over the labeled points for
-	// the built-in measures (exact — see label_indexed.go) and falls
-	// back to pairwise evaluation for custom Measure funcs.
-	LabelSerialBelow int
 
 	// TraceMerges records every merge step into Result.MergeTrace,
 	// turning the run into a dendrogram that CutTrace can cut at any
@@ -113,6 +91,11 @@ type Config struct {
 	// package's oracle tests, which prove the indexed/parallel labeler
 	// byte-identical to it through the full pipeline.
 	labelReference bool
+	// labelSerialBelow overrides the labeling phase's serial crossover: 0
+	// picks labelSerialCutoff, negative always shards. Unexported, like
+	// Model.batchSerialBelow: the oracle tests force the sharded path
+	// below the crossover.
+	labelSerialBelow int
 }
 
 // withDefaults returns a copy with all optional fields populated.

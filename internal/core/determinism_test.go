@@ -20,14 +20,13 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 		{Theta: 0.5, K: 4, Seed: 11, TraceMerges: true},
 		{Theta: 0.6, K: 3, Seed: 7, SampleSize: 150, MinNeighbors: 2, WeedAt: 0.3},
 		{Theta: 0.3, K: 5, Seed: 23, LabelOutliers: true},
-		// LinkSerialBelow: -1 forces the sharded parallel CSR link
-		// builder even at this test's n, so link-phase parallelism is
-		// exercised, not just the neighbor phase.
-		{Theta: 0.5, K: 4, Seed: 13, LinkSerialBelow: -1, TraceMerges: true},
-		// LabelSerialBelow: -1 forces candidate sharding in the labeling
+		// Every run takes the sharded CSR link builder, so link-phase
+		// parallelism is exercised, not just the neighbor phase.
+		{Theta: 0.5, K: 4, Seed: 13, TraceMerges: true},
+		// labelSerialBelow: -1 forces candidate sharding in the labeling
 		// phase even at this test's candidate count, so label-phase
 		// parallelism is exercised alongside sampling.
-		{Theta: 0.5, K: 4, Seed: 17, SampleSize: 120, LabelSerialBelow: -1, LabelOutliers: true},
+		{Theta: 0.5, K: 4, Seed: 17, SampleSize: 120, labelSerialBelow: -1, LabelOutliers: true},
 	}
 	for ci, base := range configs {
 		ts := randomTransactionsCore(r, 220, 7, 25)
@@ -75,8 +74,8 @@ func TestChunkedClusterDeterministicAcrossWorkers(t *testing.T) {
 	configs := []ChunkedConfig{
 		{Base: Config{Theta: 0.5, K: 3, Seed: 5}, ChunkSize: 60},
 		{Base: Config{Theta: 0.4, K: 4, Seed: 11, MinNeighbors: 1}, ChunkSize: 45, ChunkK: 6, Reps: 3},
-		// Force the parallel link and label paths inside every sub-run.
-		{Base: Config{Theta: 0.5, K: 3, Seed: 23, LinkSerialBelow: -1, LabelSerialBelow: -1}, ChunkSize: 80},
+		// Force the sharded label path inside every sub-run.
+		{Base: Config{Theta: 0.5, K: 3, Seed: 23, labelSerialBelow: -1}, ChunkSize: 80},
 	}
 	for ci, base := range configs {
 		ts := randomTransactionsCore(r, 260, 6, 22)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/rockclust/rock/internal/linkage"
@@ -79,13 +81,21 @@ type arena struct {
 // to weedTrigger, clusters of size ≤ weedMaxSize are discarded as outliers
 // (the paper's device for isolating stray points that merge with nothing).
 func agglomerate(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult {
-	return runAgglomeration(newArena(n, lt, good, f), k, weedTrigger, weedMaxSize, trace)
+	slotOf := make([]int32, n)
+	for i := range slotOf {
+		slotOf[i] = int32(i)
+	}
+	a, err := newArena(lt, slotOf, n, good, f)
+	if err != nil {
+		panic(err) // unreachable: singleton slots copy lt's int32 counts unchanged
+	}
+	return runAgglomeration(a, k, weedTrigger, weedMaxSize, trace)
 }
 
-// runAgglomeration drives the merge loop over an already-seeded arena —
-// shared by agglomerate (every slot a singleton) and the seeded path
-// (seeded.go: slots are pre-formed groups). Logical ids continue from the
-// initial slot count, so the tie-break convention holds for both.
+// runAgglomeration drives the merge loop over a built arena, whether its
+// slots start as singletons or as pre-formed seed groups. Logical ids
+// continue from the initial slot count, so the tie-break convention holds
+// for both.
 func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) engineResult {
 	var res engineResult
 	nextID := len(a.alive)
@@ -133,50 +143,82 @@ func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) eng
 	return res
 }
 
-// newArena seeds the arena from the CSR link table: one slot per point,
-// rows materialized into a single backing array, and the lazy heap bulk-
-// initialized in O(n) from each slot's best partner.
-func newArena(n int, lt *linkage.Compact, good GoodnessFunc, f float64) *arena {
+// newArena builds the arena over the point-level CSR link table lt with
+// one initial slot per group of points: slotOf[p] in [0, slots) names
+// point p's slot, and every slot holds at least one point. Member chains
+// list each slot's points in ascending order. Each slot's row is the
+// fold of its members' rows — counts summed per target slot, links inside
+// the slot dropped, exactly as if its points had been merged pairwise —
+// assembled with a dense per-slot scratch straight into one backing
+// array; folding never adds entries, so lt.Entries() bounds it. With
+// singleton slots (slotOf the identity) the fold copies lt row by row.
+// The lazy heap is bulk-initialized in O(slots) from each slot's best
+// partner. The only failure is a folded count past int32, which singleton
+// slots cannot produce.
+func newArena(lt *linkage.Compact, slotOf []int32, slots int, good GoodnessFunc, f float64) (*arena, error) {
 	a := &arena{
 		good:   good,
 		f:      f,
-		alive:  make([]bool, n),
-		id:     make([]int32, n),
-		size:   make([]int32, n),
-		head:   make([]int32, n),
-		tail:   make([]int32, n),
-		next:   make([]int32, n),
-		rows:   make([][]linkEntry, n),
-		bestTo: make([]int32, n),
-		bestG:  make([]float64, n),
-		heap:   pqueue.NewLazy(n),
+		alive:  make([]bool, slots),
+		id:     make([]int32, slots),
+		size:   make([]int32, slots),
+		head:   make([]int32, slots),
+		tail:   make([]int32, slots),
+		next:   make([]int32, len(slotOf)),
+		rows:   make([][]linkEntry, slots),
+		bestTo: make([]int32, slots),
+		bestG:  make([]float64, slots),
+		heap:   pqueue.NewLazy(slots),
 	}
+	for s := range a.alive {
+		a.alive[s] = true
+		a.id[s] = int32(s)
+	}
+	for p, s := range slotOf {
+		if a.size[s] == 0 {
+			a.head[s] = int32(p)
+		} else {
+			a.next[a.tail[s]] = int32(p)
+		}
+		a.tail[s] = int32(p)
+		a.next[p] = -1
+		a.size[s]++
+	}
+
 	backing := make([]linkEntry, 0, lt.Entries())
-	for i := 0; i < n; i++ {
-		a.alive[i] = true
-		a.id[i] = int32(i)
-		a.size[i] = 1
-		a.head[i], a.tail[i], a.next[i] = int32(i), int32(i), -1
+	sum := make([]int64, slots)
+	var touched []int32
+	for s := int32(0); int(s) < slots; s++ {
+		for p := a.head[s]; p >= 0; p = a.next[p] {
+			lt.Row(int(p), func(j, cnt int) {
+				if t := slotOf[j]; t != s {
+					if sum[t] == 0 {
+						touched = append(touched, t)
+					}
+					sum[t] += int64(cnt)
+				}
+			})
+		}
+		slices.Sort(touched)
 		start := len(backing)
-		bt, bg := int32(-1), 0.0
-		lt.Row(i, func(j, cnt int) {
-			backing = append(backing, linkEntry{to: int32(j), cnt: int32(cnt)})
-			// Ascending j, strict >: ties keep the smaller partner id,
-			// matching the reference heap's tie-break.
-			if g := good(cnt, 1, 1, f); bt < 0 || g > bg {
-				bt, bg = int32(j), g
+		for _, t := range touched {
+			if sum[t] > math.MaxInt32 {
+				return nil, fmt.Errorf("core: aggregated cross-link count %d between seed clusters exceeds 2^31", sum[t])
 			}
-		})
+			backing = append(backing, linkEntry{to: t, cnt: int32(sum[t])})
+			sum[t] = 0
+		}
+		touched = touched[:0]
 		// Capacity-clamp each row to its own region so a stray append can
 		// never stomp a neighbor's row.
-		a.rows[i] = backing[start:len(backing):len(backing)]
-		a.bestTo[i], a.bestG[i] = bt, bg
-		if bt >= 0 {
-			a.heap.BulkSet(i, int32(i), bg)
+		a.rows[s] = backing[start:len(backing):len(backing)]
+		a.rescanBest(s)
+		if a.bestTo[s] >= 0 {
+			a.heap.BulkSet(int(s), s, a.bestG[s])
 		}
 	}
 	a.heap.Fix()
-	return a
+	return a, nil
 }
 
 // merge folds cluster v into cluster u's slot as the new cluster with
@@ -205,32 +247,10 @@ func (a *arena) merge(u, v, w int32) {
 }
 
 // patchNeighbor rewrites x's row after slots u and v merged into slot u
-// with combined count cnt, then repairs x's cached best.
+// with combined count cnt, then repairs x's cached best. Rows never grow:
+// the patch is a count update, an in-place deletion, or an in-place
+// shifted replacement.
 func (a *arena) patchNeighbor(x, u, v, cnt int32) {
-	a.patchRow(x, u, v, cnt)
-
-	if bt := a.bestTo[x]; bt == u || bt == v {
-		// The cached best was a merge participant; rescan the row.
-		old := a.bestG[x]
-		a.rescanBest(x)
-		if a.bestG[x] != old {
-			a.publish(x)
-		}
-	} else if g := a.pairGoodness(x, u, cnt); g > a.bestG[x] {
-		// The merged cluster has the youngest id, so on a tie the cached
-		// best keeps winning — only a strictly better goodness displaces it.
-		a.bestTo[x], a.bestG[x] = u, g
-		a.publish(x)
-	}
-}
-
-// patchRow is the structural half of patchNeighbor: rewrite x's row after
-// slots u and v merged into slot u with combined count cnt, leaving the
-// cached best untouched. Rows never grow: the patch is a count update, an
-// in-place deletion, or an in-place shifted replacement. The batched
-// engine calls it concurrently for neighbors of different merges, which is
-// safe because conflict-free batches have disjoint closed neighborhoods.
-func (a *arena) patchRow(x, u, v, cnt int32) {
 	row := a.rows[x]
 	pu := lowerBound(row, u)
 	hasU := pu < len(row) && row[pu].to == u
@@ -253,6 +273,20 @@ func (a *arena) patchRow(x, u, v, cnt int32) {
 		row[pu-1] = linkEntry{to: u, cnt: cnt}
 	}
 	a.rows[x] = row
+
+	if bt := a.bestTo[x]; bt == u || bt == v {
+		// The cached best was a merge participant; rescan the row.
+		old := a.bestG[x]
+		a.rescanBest(x)
+		if a.bestG[x] != old {
+			a.publish(x)
+		}
+	} else if g := a.pairGoodness(x, u, cnt); g > a.bestG[x] {
+		// The merged cluster has the youngest id, so on a tie the cached
+		// best keeps winning — only a strictly better goodness displaces it.
+		a.bestTo[x], a.bestG[x] = u, g
+		a.publish(x)
+	}
 }
 
 // weed removes clusters of size ≤ maxSize, detaching them from every
@@ -435,7 +469,7 @@ func lowerBound(row []linkEntry, slot int32) int {
 
 // BenchAgglomerateArena runs the production arena engine over a prebuilt
 // CSR link table, exported for the `rockbench -merge` sweep
-// (internal/expt); it is the same agglomerate the pipeline calls.
+// (internal/expt); it is the same arena and merge loop the pipeline runs.
 func BenchAgglomerateArena(n int, lt *linkage.Compact, k int, f float64) (clusters, merges int) {
 	res := agglomerate(n, lt, k, RockGoodness, f, 0, 0, false)
 	return len(res.clusters), res.merges

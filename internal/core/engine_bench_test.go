@@ -44,25 +44,3 @@ func BenchmarkAgglomerateMap(b *testing.B) { benchAgglomerate(b, agglomerateMap)
 // BenchmarkAgglomerateArena times the production arena engine on the
 // identical workload; the oracle test guarantees identical output.
 func BenchmarkAgglomerateArena(b *testing.B) { benchAgglomerate(b, agglomerate) }
-
-// BenchmarkAgglomerateParallel times the batched merge engine across
-// worker counts on the identical workload (workers=1 exercises the round
-// machinery without concurrency; the Workers<=1 production path instead
-// dispatches to the serial arena engine). Run on a multi-core host — at
-// GOMAXPROCS=1 the goroutines serialize and only the round-level heap
-// repair can win.
-func BenchmarkAgglomerateParallel(b *testing.B) {
-	for _, n := range []int{1000, 5000, 10000} {
-		lt := benchLinkTable(b, n)
-		k := n / 100
-		f := MarketBasketF(0.6)
-		for _, workers := range []int{1, 2, 4} {
-			b.Run("n="+strconv.Itoa(n)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					agglomerateParallel(n, lt, k, RockGoodness, f, 0, 0, false, workers)
-				}
-			})
-		}
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"github.com/rockclust/rock/internal/dataset"
 	"github.com/rockclust/rock/internal/linkage"
 	"github.com/rockclust/rock/internal/similarity"
+	"github.com/rockclust/rock/internal/synth"
 )
 
 // asymGoodness depends asymmetrically on the cluster sizes: it pins down
@@ -18,22 +19,13 @@ func asymGoodness(links int, ni, nj int, f float64) float64 {
 	return float64(links) / (float64(ni) + 0.5*float64(nj) + f)
 }
 
-// oracleWorkerCounts are the worker counts every oracle configuration
-// exercises through the batched engine, per the acceptance criteria.
-var oracleWorkerCounts = []int{1, 2, 4, 8}
-
-// checkEnginesAgree runs the arena engine, the map-based reference, and
-// the parallel batched engine (at every oracle worker count) on one
-// configuration and fails on any divergence, field by field.
+// checkEnginesAgree runs the arena engine and the map-based reference on
+// one configuration and fails on any divergence, field by field.
 func checkEnginesAgree(t *testing.T, label string, n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) {
 	t.Helper()
 	ref := agglomerateMap(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
 	arena := agglomerate(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
 	checkResultsEqual(t, label+" [arena]", &arena, &ref)
-	for _, workers := range oracleWorkerCounts {
-		par := agglomerateParallel(n, lt, k, good, f, weedTrigger, weedMaxSize, trace, workers)
-		checkResultsEqual(t, fmt.Sprintf("%s [batched workers=%d]", label, workers), &par, &ref)
-	}
 }
 
 // checkResultsEqual fails on any field-level divergence between an
@@ -154,6 +146,46 @@ func TestEngineOraclePipelineData(t *testing.T) {
 		lt := linkage.Build(nb, linkage.Options{})
 		label := fmt.Sprintf("pipeline trial=%d n=%d theta=%.2f", trial, n, theta)
 		checkEnginesAgree(t, label, n, lt, 1+r.Intn(4), RockGoodness, MarketBasketF(theta), 0, 0, true)
+	}
+}
+
+// TestEngineOracleParallelPipeline runs both engines on link tables the
+// sharded parallel builder produced from clustered basket workloads, at
+// sizes well past the randomized oracles above (n = 800 and 2000), with
+// and without weeding and tracing. Every worker count must build the same
+// table, so the engines see identical input whatever the parallelism.
+func TestEngineOracleParallelPipeline(t *testing.T) {
+	for _, n := range []int{800, 2000} {
+		d := synth.Basket(synth.BasketConfig{
+			Transactions:    n,
+			Clusters:        n / 100,
+			TemplateItems:   15,
+			TransactionSize: 12,
+			Seed:            7,
+		})
+		nb := similarity.ComputeIndexed(d.Trans, 0.6, similarity.Options{})
+		lt := linkage.Build(nb, linkage.Options{Workers: 1})
+		for _, workers := range []int{2, 4, 8} {
+			if !linkage.Build(nb, linkage.Options{Workers: workers}).Equal(lt) {
+				t.Fatalf("n=%d: workers=%d built a different link table", n, workers)
+			}
+		}
+		k := n / 100
+		f := MarketBasketF(0.6)
+		configs := []struct {
+			name        string
+			weedTrigger int
+			weedMaxSize int
+			trace       bool
+		}{
+			{"plain", 0, 0, false},
+			{"trace", 0, 0, true},
+			{"weed+trace", n / 2, 2, true},
+		}
+		for _, cfg := range configs {
+			label := fmt.Sprintf("n=%d %s", n, cfg.name)
+			checkEnginesAgree(t, label, n, lt, k, RockGoodness, f, cfg.weedTrigger, cfg.weedMaxSize, cfg.trace)
+		}
 	}
 }
 

@@ -3,20 +3,24 @@
 // outlier handling, Chernoff-bound random sampling, the labeling phase for
 // out-of-sample points, and the QROCK connected-components variant.
 //
-// Three merge engines share one contract. engine_reference.go holds the
+// Two merge engines share one contract. engine_reference.go holds the
 // map-based reference (map[int]*clus, one indexed heap per cluster);
-// engine.go holds the serial arena engine; engine_parallel.go batches the
-// arena's merges into conflict-free concurrent rounds. All three produce
+// engine.go holds the arena engine the pipeline runs. Both produce
 // byte-identical results — clusters, weeded set, merge count, and the
 // full trace — which a randomized oracle test enforces configuration by
-// configuration, so the fast engines are refactors of the slow one in
-// the strictest sense.
+// configuration, so the fast engine is a refactor of the slow one in the
+// strictest sense.
 //
-// Arena invariants (engine.go): clusters live in slots [0, n); a merge
-// reuses one parent's slot for the product and the other slot dies, so
-// `alive` plus the logical `id` array replace the reference engine's
-// map. Logical ids — singletons 0..n-1, each merge minting the next id —
-// are the paper's tie-break and trace currency; slots are storage only.
+// One pipeline (rock.go) serves Cluster and ClusterSeeded: the seeded
+// entry point only adds a seed, which exempts its points from pruning and
+// starts the arena from its groups.
+//
+// Arena invariants (engine.go): clusters live in slots [0, m), one per
+// initial cluster; a merge reuses one parent's slot for the product and
+// the other slot dies, so `alive` plus the logical `id` array replace the
+// reference engine's map. Logical ids — initial slots 0..m-1, each merge
+// minting the next id — are the paper's tie-break and trace currency;
+// slots are storage only.
 // Adjacency rows are sorted by slot, reference only live slots (merges
 // and weeding scrub dead entries), and are recycled through a buffer
 // pool; member lists are intrusive (head/tail/next over point indices),

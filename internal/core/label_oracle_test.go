@@ -144,7 +144,7 @@ func TestLabelOracleCluster(t *testing.T) {
 				label := fmt.Sprintf("trial=%d measure=%s workers=%d serialBelow=%d", trial, m.name, workers, serialBelow)
 				runCfg := cfg
 				runCfg.Workers = workers
-				runCfg.LabelSerialBelow = serialBelow
+				runCfg.labelSerialBelow = serialBelow
 				got, err := Cluster(ts, runCfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

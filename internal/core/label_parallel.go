@@ -18,22 +18,21 @@ import (
 // chunkwork.Run loop), so a candidate with an expensive neighborhood
 // doesn't stall a whole static shard.
 
-// DefaultLabelSerialBelow is the default crossover for the labeling
-// phase: below this many candidates the goroutine handoff costs more
-// than the sharded scan saves, so labeling runs on the serial loop.
-const DefaultLabelSerialBelow = 1024
+// labelSerialCutoff is the crossover for the labeling phase and
+// Model.AssignBatch: below this many queries the goroutine handoff costs
+// more than the sharded scan saves, so they run on the serial loop.
+const labelSerialCutoff = 1024
 
 // labelChunk is the unit of work a worker claims at a time.
 const labelChunk = 64
 
 // run labels every candidate, returning the chosen cluster index (or -1)
-// per candidate in candidate order. workers and serialBelow follow the
-// link/merge-phase conventions: workers 0 = GOMAXPROCS, serialBelow 0 =
-// DefaultLabelSerialBelow, negative = always parallel. Workers ≤ 1
-// always takes the serial loop.
+// per candidate in candidate order. workers 0 = GOMAXPROCS; serialBelow
+// 0 = labelSerialCutoff, negative = always parallel. Workers ≤ 1 always
+// takes the serial loop.
 func (lb *labeler) run(candidates []int, workers, serialBelow int) []int {
 	if serialBelow == 0 {
-		serialBelow = DefaultLabelSerialBelow
+		serialBelow = labelSerialCutoff
 	}
 	return lb.runEach(len(candidates), func(i int) dataset.Transaction { return lb.ts[candidates[i]] },
 		workers, serialBelow, lb.newScratch, func(*labelScratch) {})
@@ -84,7 +83,7 @@ func labelCandidates(ts []dataset.Transaction, candidates []int, sets [][]int, c
 	if cfg.labelReference {
 		return labelCandidatesReference(ts, candidates, sets, cfg.Theta, cfg.fval(), cfg.Measure)
 	}
-	return newLabeler(ts, sets, cfg.Theta, cfg.fval(), cfg.Measure).run(candidates, cfg.Workers, cfg.LabelSerialBelow)
+	return newLabeler(ts, sets, cfg.Theta, cfg.fval(), cfg.Measure).run(candidates, cfg.Workers, cfg.labelSerialBelow)
 }
 
 // BenchLabelReference runs the serial pairwise reference labeler —

@@ -140,8 +140,8 @@ func TestLabelNoNeighborIsOutlier(t *testing.T) {
 
 // Labeling must be a no-op when no sample is drawn (SampleSize ≥ n or 0)
 // and LabelOutliers is off: zero candidates, zero labeled/unlabeled, and
-// the labeling knobs (LabelFraction, MaxLabelPoints, LabelSerialBelow)
-// must not perturb a single output byte.
+// the labeling knobs (LabelFraction, MaxLabelPoints, the forced-sharding
+// crossover) must not perturb a single output byte.
 func TestLabelNoopWithoutSampling(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ts := randomTransactionsCore(r, 150, 6, 20)
@@ -161,7 +161,7 @@ func TestLabelNoopWithoutSampling(t *testing.T) {
 		perturbed := base
 		perturbed.LabelFraction = 0.9
 		perturbed.MaxLabelPoints = 3
-		perturbed.LabelSerialBelow = -1
+		perturbed.labelSerialBelow = -1
 		res, err := Cluster(ts, perturbed)
 		if err != nil {
 			t.Fatal(err)

@@ -59,7 +59,7 @@ type Model struct {
 	scratch sync.Pool
 
 	// batchSerialBelow overrides AssignBatch's serial crossover: 0 picks
-	// DefaultLabelSerialBelow, negative always shards. Unexported — the
+	// labelSerialCutoff, negative always shards. Unexported — the
 	// oracle tests force the sharded path below the crossover; callers
 	// get the labeling phase's tuned default.
 	batchSerialBelow int
@@ -262,7 +262,7 @@ func (m *Model) Assign(t dataset.Transaction) int {
 func (m *Model) AssignBatch(ts []dataset.Transaction, workers int) []int {
 	serialBelow := m.batchSerialBelow
 	if serialBelow == 0 {
-		serialBelow = DefaultLabelSerialBelow
+		serialBelow = labelSerialCutoff
 	}
 	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return ts[i] }, workers, serialBelow,
 		func() *labelScratch { return m.scratch.Get().(*labelScratch) },

@@ -43,6 +43,13 @@ type QRockConfig struct {
 // where component structure is enough, QROCK is dramatically cheaper;
 // where cluster counts must be driven down to k, full ROCK's goodness
 // ordering matters.
+//
+// The equivalence holds for ROCK with self-inclusive neighbor lists
+// (Config.IncludeSelf), K=1, and no pruning or weeding: every θ-edge then
+// carries at least two links, its endpoints being common neighbors of the
+// pair. Without IncludeSelf a link counts only third parties, so two
+// points that are each other's only neighbor share no link and never
+// merge, while QRock joins them.
 func QRock(ts []dataset.Transaction, cfg QRockConfig) (*Result, error) {
 	rcfg := Config{Theta: cfg.Theta, K: 1, Measure: cfg.Measure, Workers: cfg.Workers}
 	if err := rcfg.Validate(); err != nil {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 func TestQRockComponents(t *testing.T) {
@@ -108,5 +111,72 @@ func TestQRockLSHNeighbors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Clusters, again.Clusters) {
 		t.Fatal("QROCK LSH path nondeterministic")
+	}
+}
+
+// TestQRockMatchesRockAtKOneProperty is the differential form of the
+// equivalence QRock's doc states: over random transactions, thresholds and
+// built-in measures, ROCK with IncludeSelf, K=1 and no pruning or weeding
+// ends at exactly QRock's components.
+func TestQRockMatchesRockAtKOneProperty(t *testing.T) {
+	measures := []struct {
+		name string
+		m    similarity.Measure
+	}{
+		{"jaccard", nil},
+		{"dice", similarity.Dice},
+		{"cosine", similarity.Cosine},
+		{"overlap", similarity.Overlap},
+	}
+	for trial := int64(0); trial < 60; trial++ {
+		r := rand.New(rand.NewSource(trial))
+		ts := randomTransactionsCore(r, 1+r.Intn(120), 1+r.Intn(7), 5+r.Intn(40))
+		theta := 0.1 + 0.85*r.Float64()
+		me := measures[r.Intn(len(measures))]
+		label := fmt.Sprintf("trial=%d n=%d theta=%.3f measure=%s", trial, len(ts), theta, me.name)
+		rockRes, err := Cluster(ts, Config{Theta: theta, K: 1, IncludeSelf: true, Measure: me.m, Seed: trial})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		qRes, err := QRock(ts, QRockConfig{Theta: theta, Measure: me.m})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !reflect.DeepEqual(rockRes.Clusters, qRes.Clusters) || !reflect.DeepEqual(rockRes.Assign, qRes.Assign) {
+			t.Fatalf("%s: ROCK(k=1, self) %v != QROCK %v", label, rockRes.Clusters, qRes.Clusters)
+		}
+	}
+}
+
+// TestQRockRockWithoutSelfDiverges pins the precondition: two identical
+// points are each other's only θ-neighbor, so without IncludeSelf they
+// share no link and ROCK stops at two singletons, while QRock (and ROCK
+// with IncludeSelf) joins them.
+func TestQRockRockWithoutSelfDiverges(t *testing.T) {
+	ts := []dataset.Transaction{
+		dataset.NewTransaction(1, 2),
+		dataset.NewTransaction(1, 2),
+	}
+	q, err := QRock(ts, QRockConfig{Theta: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 1}}; !reflect.DeepEqual(q.Clusters, want) {
+		t.Fatalf("QRock clusters %v, want %v", q.Clusters, want)
+	}
+	plain, err := Cluster(ts, Config{Theta: 0.5, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0}, {1}}; !reflect.DeepEqual(plain.Clusters, want) || !plain.Stats.StoppedEarly || plain.Stats.LinkPairs != 0 {
+		t.Fatalf("ROCK without IncludeSelf: clusters %v, stopped early %v, link pairs %d; want %v, true, 0",
+			plain.Clusters, plain.Stats.StoppedEarly, plain.Stats.LinkPairs, want)
+	}
+	self, err := Cluster(ts, Config{Theta: 0.5, K: 1, IncludeSelf: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(self.Clusters, q.Clusters) {
+		t.Fatalf("ROCK with IncludeSelf %v != QRock %v", self.Clusters, q.Clusters)
 	}
 }

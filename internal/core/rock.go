@@ -107,15 +107,29 @@ func (r *Result) Sizes() []int {
 }
 
 // Cluster runs the full ROCK pipeline on ts: optional uniform sampling,
-// θ-neighbor computation, link computation, outlier pruning, heap-driven
+// θ-neighbor computation, outlier pruning, link computation, heap-driven
 // agglomeration down to cfg.K clusters with optional weeding, and — when a
 // sample was used — labeling of the remaining points.
 func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
+	return cluster(ts, nil, cfg)
+}
+
+// cluster is the one ROCK pipeline behind Cluster and ClusterSeeded. Its
+// phases run in order: sample, θ-neighbors, prune, links, merge, label.
+// A non-empty seed (seeded.go) exempts its points from pruning and starts
+// the merge from its groups, folding point links to group links as the
+// arena is built; with an empty seed both steps are the plain ones, which
+// is why ClusterSeeded with no groups is byte-identical to Cluster.
+func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	n := len(ts)
+	groupOf, err := seedGroups(seed, n)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Assign: make([]int, n), Stats: Stats{N: n, FVal: cfg.fval()}}
 	for i := range res.Assign {
 		res.Assign[i] = -1
@@ -164,33 +178,37 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 	res.Stats.AvgNeighbors, res.Stats.MaxNeighbors, _ = nb.Stats()
 	res.Stats.addLSH(nb.LSH)
 
-	// Phase 3: prune sparse points (paper: outliers have few neighbors).
-	kept, prunedLocal := pruneByDegree(nb, cfg.MinNeighbors)
+	// Phase 3: prune sparse points (paper: outliers have few neighbors);
+	// seeded points are never pruned.
+	kept, prunedLocal := pruneByDegree(nb, cfg.MinNeighbors, groupOf)
 	res.Stats.Pruned = len(prunedLocal)
 	for _, l := range prunedLocal {
 		res.Outliers = append(res.Outliers, sample[l])
 	}
 	keptNb := filterNeighbors(nb, kept)
 
-	// Phase 4: links over the kept sample, built directly in CSR form.
-	// The sharded builder splits the O(Σ m_i²) pair counting across
-	// cfg.Workers goroutines; small samples take the serial reference
-	// path. Either way the table is bit-identical and deterministic.
-	lt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers, SerialBelow: cfg.LinkSerialBelow})
+	// Phase 4: links over the kept sample, built directly in CSR form by
+	// the sharded builder — deterministic and worker-count independent.
+	lt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers})
 	res.Stats.LinkPairs = lt.Pairs()
 	res.Stats.LinkEntries = int64(lt.Entries())
 
-	// Phase 5: agglomerate. Small samples take the serial arena engine;
-	// larger ones (under Workers > 1) run parallel batched merge rounds.
-	// Either way the clustering is byte-identical and deterministic.
+	// Phase 5: agglomerate on the arena engine, from one slot per seed
+	// group plus one singleton per other kept point. Weeding triggers on
+	// the initial slot count.
+	slotOf, slots := seedSlots(kept, len(seed), groupOf)
 	weedTrigger := 0
 	if cfg.WeedAt > 0 {
-		weedTrigger = int(math.Ceil(cfg.WeedAt * float64(len(kept))))
+		weedTrigger = int(math.Ceil(cfg.WeedAt * float64(slots)))
 		if weedTrigger < cfg.K {
 			weedTrigger = cfg.K
 		}
 	}
-	eng := agglomerateAuto(len(kept), lt, cfg.K, cfg.Goodness, cfg.fval(), weedTrigger, cfg.WeedMaxSize, cfg.TraceMerges, cfg.Workers, cfg.MergeSerialBelow)
+	a, err := newArena(lt, slotOf, slots, cfg.Goodness, cfg.fval())
+	if err != nil {
+		return nil, err
+	}
+	eng := runAgglomeration(a, cfg.K, weedTrigger, cfg.WeedMaxSize, cfg.TraceMerges)
 	res.Stats.Merges = eng.merges
 	res.Stats.StoppedEarly = eng.stoppedEarly
 	res.Stats.Weeded = len(eng.weeded)
@@ -272,8 +290,9 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 }
 
 // pruneByDegree splits points into those with at least minNeighbors
-// neighbors (kept, ascending) and the rest (pruned, ascending).
-func pruneByDegree(nb *similarity.Neighbors, minNeighbors int) (kept, pruned []int) {
+// neighbors or a seed group (groupOf[i] >= 0; groupOf may be nil) — kept,
+// ascending — and the rest (pruned, ascending).
+func pruneByDegree(nb *similarity.Neighbors, minNeighbors int, groupOf []int32) (kept, pruned []int) {
 	n := nb.Len()
 	if minNeighbors <= 0 {
 		kept = make([]int, n)
@@ -283,7 +302,7 @@ func pruneByDegree(nb *similarity.Neighbors, minNeighbors int) (kept, pruned []i
 		return kept, nil
 	}
 	for i := 0; i < n; i++ {
-		if nb.Degree(i) >= minNeighbors {
+		if nb.Degree(i) >= minNeighbors || (groupOf != nil && groupOf[i] >= 0) {
 			kept = append(kept, i)
 		} else {
 			pruned = append(pruned, i)

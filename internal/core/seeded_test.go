@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
+	"github.com/rockclust/rock/internal/linkage"
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 // TestClusterSeededEmptySeedOracle proves the degenerate case: with no
@@ -227,5 +233,138 @@ func TestModelLabeledGroups(t *testing.T) {
 				t.Fatalf("model group %d split in seeded re-cluster", gi)
 			}
 		}
+	}
+}
+
+// foldLinksMap is the seed fold as first written: point-level links summed
+// into one map per initial slot, then compacted through a map-based
+// linkage.Table. It is the oracle for the fold newArena performs while
+// building its rows.
+func foldLinksMap(plt *linkage.Compact, slotOf []int32, slots int) (*linkage.Compact, error) {
+	acc := make([]map[int32]int64, slots)
+	for l := range slotOf {
+		ci := slotOf[l]
+		plt.Row(l, func(j, cnt int) {
+			cj := slotOf[j]
+			if cj == ci {
+				return
+			}
+			if acc[ci] == nil {
+				acc[ci] = make(map[int32]int64)
+			}
+			acc[ci][cj] += int64(cnt)
+		})
+	}
+	tab := &linkage.Table{Adj: make([]map[int32]int32, slots)}
+	for i := range tab.Adj {
+		row := make(map[int32]int32, len(acc[i]))
+		for j, c := range acc[i] {
+			if c > math.MaxInt32 {
+				return nil, fmt.Errorf("core: aggregated cross-link count %d between seed clusters exceeds 2^31", c)
+			}
+			row[j] = int32(c)
+		}
+		tab.Adj[i] = row
+	}
+	return linkage.CompactFrom(tab), nil
+}
+
+// randomSeed draws up to maxGroups disjoint, non-empty seed groups over n
+// points, leaving some points unseeded.
+func randomSeed(r *rand.Rand, n, maxGroups int) [][]int {
+	perm := r.Perm(n)
+	seed := make([][]int, 1+r.Intn(maxGroups))
+	for _, p := range perm[:n*2/3] {
+		gi := r.Intn(len(seed))
+		seed[gi] = append(seed[gi], p)
+	}
+	var out [][]int
+	for _, g := range seed {
+		if len(g) > 0 {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestSeedFoldOracle proves the arena's CSR fold — point links summed
+// per initial slot straight into the arena's rows — identical to the
+// map-based fold on random seeds over real pipeline links, with pruning
+// on and off. It also checks every slot's member chain lists exactly its
+// points and that each cached best is the row's best.
+func TestSeedFoldOracle(t *testing.T) {
+	for trial := int64(0); trial < 40; trial++ {
+		r := rand.New(rand.NewSource(trial))
+		ts, _ := groupedData(2+r.Intn(3), 15+r.Intn(20), trial)
+		ts = append(ts, randomTransactionsCore(r, r.Intn(20), 6, 60)...)
+		n := len(ts)
+		seed := randomSeed(r, n, 5)
+		minNeighbors := 0
+		if trial%2 == 1 {
+			minNeighbors = 1 + r.Intn(4)
+		}
+		theta := 0.2 + 0.4*r.Float64()
+		label := fmt.Sprintf("trial=%d n=%d groups=%d min=%d theta=%.2f", trial, n, len(seed), minNeighbors, theta)
+
+		groupOf, err := seedGroups(seed, n)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		nb := similarity.ComputeIndexed(ts, theta, similarity.Options{IncludeSelf: trial%3 == 0})
+		kept, _ := pruneByDegree(nb, minNeighbors, groupOf)
+		plt := linkage.Build(filterNeighbors(nb, kept), linkage.Options{})
+		slotOf, slots := seedSlots(kept, len(seed), groupOf)
+
+		a, err := newArena(plt, slotOf, slots, RockGoodness, MarketBasketF(theta))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := foldLinksMap(plt, slotOf, slots)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", label, err)
+		}
+		if want.Len() != slots {
+			t.Fatalf("%s: oracle has %d slots, arena %d", label, want.Len(), slots)
+		}
+		for s := 0; s < slots; s++ {
+			var wantRow []linkEntry
+			want.Row(s, func(j, cnt int) { wantRow = append(wantRow, linkEntry{to: int32(j), cnt: int32(cnt)}) })
+			if !slices.Equal(a.rows[s], wantRow) {
+				t.Fatalf("%s: slot %d row %v, map fold %v", label, s, a.rows[s], wantRow)
+			}
+			var members, wantMembers []int32
+			for p := a.head[s]; p >= 0; p = a.next[p] {
+				members = append(members, p)
+			}
+			for p, ps := range slotOf {
+				if int(ps) == s {
+					wantMembers = append(wantMembers, int32(p))
+				}
+			}
+			if !slices.Equal(members, wantMembers) || int(a.size[s]) != len(wantMembers) || a.tail[s] != wantMembers[len(wantMembers)-1] {
+				t.Fatalf("%s: slot %d chain %v (size %d), want %v", label, s, members, a.size[s], wantMembers)
+			}
+			bt, bg := a.bestTo[s], a.bestG[s]
+			a.rescanBest(int32(s))
+			if a.bestTo[s] != bt || a.bestG[s] != bg {
+				t.Fatalf("%s: slot %d cached best %d/%g, rescan %d/%g", label, s, bt, bg, a.bestTo[s], a.bestG[s])
+			}
+		}
+	}
+}
+
+// TestSeedFoldOverflow: a folded cross-link count past int32 must fail
+// with an error, never wrap into a corrupt goodness value.
+func TestSeedFoldOverflow(t *testing.T) {
+	lt := tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1 << 30})
+	if _, err := newArena(lt, []int32{0, 0, 1}, 2, RockGoodness, 0.5); err == nil || !strings.Contains(err.Error(), "exceeds 2^31") {
+		t.Fatalf("err = %v, want the 2^31 overflow error", err)
+	}
+	if _, err := foldLinksMap(lt, []int32{0, 0, 1}, 2); err == nil {
+		t.Fatal("oracle fold accepted the overflowing count")
+	}
+	lt = tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1<<30 - 1})
+	if _, err := newArena(lt, []int32{0, 0, 1}, 2, RockGoodness, 0.5); err != nil {
+		t.Fatalf("count at the int32 boundary rejected: %v", err)
 	}
 }

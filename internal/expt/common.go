@@ -2,8 +2,10 @@ package expt
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/rockclust/rock/internal/core"
@@ -17,6 +19,21 @@ import (
 func cpuNote() string {
 	return fmt.Sprintf("measured at GOMAXPROCS=%d on a host with %d CPUs (runtime.NumCPU).",
 		runtime.GOMAXPROCS(0), runtime.NumCPU())
+}
+
+// hostName names the machine a bench ran on: OS, architecture, and the
+// CPU model from /proc/cpuinfo ("unknown" where that file is absent).
+func hostName() string {
+	model := "unknown"
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s/%s, %s", runtime.GOOS, runtime.GOARCH, model)
 }
 
 // compositionTable renders the classic cluster-composition table of the

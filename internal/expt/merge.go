@@ -13,8 +13,7 @@ import (
 )
 
 // MergeBenchRow is one point of the agglomeration sweep: the map-based
-// reference, the serial arena, and the parallel batched engine on the
-// same prebuilt link table.
+// reference and the arena engine on the same prebuilt link table.
 type MergeBenchRow struct {
 	N         int     `json:"n"`
 	K         int     `json:"k"`
@@ -27,9 +26,6 @@ type MergeBenchRow struct {
 	MapSec   float64 `json:"map_sec"`
 	ArenaSec float64 `json:"arena_sec"`
 	Speedup  float64 `json:"speedup"` // map_sec / arena_sec
-	// The serial-vs-parallel column: the batched engine at each worker
-	// count, against the serial arena as baseline.
-	Parallel []MergeParallelPoint `json:"parallel"`
 	// Allocation counts for a single run of each engine (runtime.Mallocs
 	// delta), and their ratio — the arena's headline win.
 	MapAllocs   uint64  `json:"map_allocs"`
@@ -37,15 +33,9 @@ type MergeBenchRow struct {
 	AllocRatio  float64 `json:"alloc_ratio"` // map_allocs / arena_allocs
 }
 
-// MergeParallelPoint is the batched engine's timing at one worker count.
-type MergeParallelPoint struct {
-	Workers int     `json:"workers"`
-	Sec     float64 `json:"sec"`
-	Speedup float64 `json:"speedup"` // arena_sec / sec
-}
-
 // MergeBenchReport is the BENCH_merge.json payload.
 type MergeBenchReport struct {
+	Host       string          `json:"host"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	NumCPU     int             `json:"numcpu"`
 	Quick      bool            `json:"quick"`
@@ -67,6 +57,7 @@ func BenchMerge(w io.Writer, opts Options) error {
 	theta := 0.6
 
 	report := MergeBenchReport{
+		Host:       hostName(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      opts.Quick,
@@ -74,10 +65,8 @@ func BenchMerge(w io.Writer, opts Options) error {
 			cpuNote(),
 			"map is the reference engine (map[int]*clus, per-merge map rebuilds, one indexed heap per cluster); arena is the flat-slot engine with sorted link rows and a single lazy heap.",
 			"times are best-of-3 seconds for the agglomeration phase alone, over a prebuilt CSR link table on the basket workload; speedup = map_sec / arena_sec.",
-			"parallel rows time the batched merge engine (conflict-free merge rounds executed across workers) against the serial arena: speedup = arena_sec / sec.",
-			"parallel numbers only show scaling when GOMAXPROCS exceeds one — at GOMAXPROCS=1 the workers serialize and the batched engine pays its round overhead for at most the round-level heap-repair win; rerun on a multi-core host to capture the curve.",
 			"alloc counts are runtime.Mallocs deltas for one run of each engine; alloc_ratio = map_allocs / arena_allocs.",
-			"all engines produce identical clusterings on every row (verified before timing); the engine oracle test enforces byte-identical output across configurations and worker counts.",
+			"both engines produce identical clusterings on every row (verified before timing); the engine oracle test enforces byte-identical output across configurations.",
 		},
 	}
 	for _, n := range ns {
@@ -114,17 +103,6 @@ func BenchMerge(w io.Writer, opts Options) error {
 		row.Speedup = row.MapSec / row.ArenaSec
 		if row.ArenaAllocs > 0 {
 			row.AllocRatio = float64(row.MapAllocs) / float64(row.ArenaAllocs)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			pc, pm := core.BenchAgglomerateParallel(n, lt, k, f, workers)
-			if pc != ac || pm != am {
-				return fmt.Errorf("expt: batched engine disagrees at n=%d workers=%d (arena %d/%d, batched %d/%d) — refusing to record timings", n, workers, ac, am, pc, pm)
-			}
-			w := workers
-			sec := bestOf(3, func() { core.BenchAgglomerateParallel(n, lt, k, f, w) })
-			row.Parallel = append(row.Parallel, MergeParallelPoint{
-				Workers: w, Sec: sec, Speedup: row.ArenaSec / sec,
-			})
 		}
 		report.Rows = append(report.Rows, row)
 	}

@@ -10,8 +10,8 @@ import (
 // same information as Table in a fraction of the memory and with
 // cache-friendly iteration, and is the representation the agglomeration
 // engine consumes — built directly by the sharded parallel builder
-// (FromNeighborsCSR) or converted from a map-based Table (CompactFrom);
-// Build picks between the two by input size.
+// (FromNeighborsCSR, behind Build), or converted from a map-based Table
+// (CompactFrom) when tests and benches compare against the oracles.
 type Compact struct {
 	// rowStart is int64 so the total-entry ceiling is the address space,
 	// not 2^31: at ~100k dense points the link table already brushes

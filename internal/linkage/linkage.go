@@ -7,9 +7,10 @@
 // point l, every pair of l's neighbors gains one link through l; expected
 // cost O(Σ_i m_i²) for neighbor-list sizes m_i. FromNeighborsCSR shards
 // that pair counting across workers, each owning contiguous rows and
-// counting into dense scratch arrays. Dense recomputes every count as a
-// bitset intersection popcount and serves as an independent oracle in
-// tests and as a compact alternative for small dense samples.
+// counting into dense scratch arrays; it is the production builder.
+// FromNeighbors and Dense, which recomputes every count as a bitset
+// intersection popcount, are its oracles in tests and the reference
+// columns of `rockbench -links`.
 //
 // The production representation is Compact, a CSR (compressed sparse
 // row) table with these invariants: rowStart is int64 and has length
@@ -17,9 +18,8 @@
 // cols/counts[rowStart[i]:rowStart[i+1]] with column indices strictly
 // ascending (int32 — points per sample stay below 2³¹); the relation is
 // symmetric (j in row i iff i in row j, equal counts) and irreflexive.
-// Build picks the serial or sharded constructor by input size
-// (Options.SerialBelow tunes the crossover); both produce bit-identical
-// tables at every worker count, so the choice trades constants only.
+// Build runs the sharded constructor, whose table is bit-identical to
+// the serial algorithm's at every worker count.
 package linkage
 
 import (

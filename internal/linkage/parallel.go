@@ -10,34 +10,17 @@ import (
 
 // Options configure Build.
 type Options struct {
-	// Workers bounds the number of goroutines used by the parallel
+	// Workers bounds the number of goroutines used by the sharded
 	// builder; 0 means GOMAXPROCS. Output is identical for every value.
 	Workers int
-	// SerialBelow overrides the crossover point: inputs with fewer rows
-	// take the map-based reference path. 0 means DefaultSerialBelow;
-	// negative forces the parallel builder for every size.
-	SerialBelow int
 }
 
-// DefaultSerialBelow is the default crossover: below this many rows the
-// sharding and transpose overheads of the parallel builder outweigh the
-// O(Σ m_i²) counting work, so Build takes the map-based reference path.
-// The paper-scale timing sweeps (E6, n ≥ 1000) all use the parallel path.
-const DefaultSerialBelow = 768
-
 // Build computes the link table of nb directly in CSR form — the
-// representation the agglomeration engine consumes. Large inputs take
-// FromNeighborsCSR, the sharded parallel builder; small inputs convert
-// the map-based reference FromNeighbors, which has lower constant
-// overhead. Both paths produce bit-identical tables.
+// representation the agglomeration engine consumes — on the sharded
+// builder FromNeighborsCSR. It beats the map-based FromNeighbors even at
+// one worker, so it is the only runtime path; FromNeighbors remains the
+// oracle it is tested against.
 func Build(nb *similarity.Neighbors, opts Options) *Compact {
-	serialBelow := opts.SerialBelow
-	if serialBelow == 0 {
-		serialBelow = DefaultSerialBelow
-	}
-	if nb.Len() < serialBelow {
-		return CompactFrom(FromNeighbors(nb))
-	}
 	return FromNeighborsCSR(nb, opts.Workers)
 }
 

@@ -75,9 +75,8 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 	}
 }
 
-// Above the crossover the builder spans many shards; the table must be
-// identical for every worker count, including counts far above the shard
-// count.
+// Over many shards the table must be identical for every worker count,
+// including counts far above the shard count.
 func TestParallelCSRWorkerInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ts := randomTransactions(r, 1200, 10, 40)
@@ -93,18 +92,20 @@ func TestParallelCSRWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Build's crossover heuristic must be invisible: both paths, forced
-// either way, produce the same table the default dispatch does.
-func TestBuildCrossoverEquivalence(t *testing.T) {
+// Build is the production link path at every input size, so it must
+// reproduce the paper's serial pair counting (FromNeighbors) directly —
+// from the degenerate sizes through a single shard (30) to several
+// (767, 818) — at every worker count.
+func TestBuildMatchesFromNeighbors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 30, DefaultSerialBelow - 1, DefaultSerialBelow + 50} {
+	for _, n := range []int{0, 1, 30, 767, 818} {
 		ts := randomTransactions(r, n, 6, 20)
 		nb := similarity.ComputeIndexed(ts, 0.3, similarity.Options{})
-		def := Build(nb, Options{})
-		serial := Build(nb, Options{SerialBelow: nb.Len() + 1})
-		parallel := Build(nb, Options{SerialBelow: -1, Workers: 3})
-		if !def.Equal(serial) || !def.Equal(parallel) {
-			t.Fatalf("n=%d: crossover paths disagree", n)
+		want := CompactFrom(FromNeighbors(nb))
+		for _, w := range []int{1, 2, 4, 8} {
+			if got := Build(nb, Options{Workers: w}); !got.Equal(want) {
+				t.Fatalf("n=%d workers=%d: Build differs from FromNeighbors", n, w)
+			}
 		}
 	}
 }

@@ -7,22 +7,20 @@
 // update and removal of arbitrary keys. Ties in priority break toward
 // the smaller key, making heap-driven algorithms deterministic.
 //
-// Lazy is the version-stamped heap the arena engines use. Its contract:
-// every key carries a version counter; Update (and BulkUpdate) bump the
-// version and push a fresh entry stamped with it, never moving or
-// deleting interior entries; Invalidate bumps the version without
-// pushing. An entry is live iff its stamp equals its key's current
-// version — superseded entries stay in the array and are discarded when
-// they surface at a pop. Each entry freezes a caller-supplied tie-break
-// id at push time, so ordering (priority desc, id asc) is a function of
-// entry contents alone and survives keys whose external identity changes
-// between pushes (arena slots are reused; ties must break on logical
-// cluster ids — distinct live keys must carry distinct ids for fully
-// deterministic pops). Seeding is O(n) via BulkSet + Fix; a round of
-// batched repairs is BulkUpdate× + one Fix; stale entries are compacted
-// away whenever they outnumber live ones by more than 2:1 (the array
-// exceeding 3× the live count), keeping every operation amortized
-// O(log live).
+// Lazy is the version-stamped heap the arena engine uses. Its contract:
+// every key carries a version counter; Update bumps the version and
+// pushes a fresh entry stamped with it, never moving or deleting interior
+// entries; Invalidate bumps the version without pushing. An entry is live
+// iff its stamp equals its key's current version — superseded entries
+// stay in the array and are discarded when they surface at a pop. Each
+// entry freezes a caller-supplied tie-break id at push time, so ordering
+// (priority desc, id asc) is a function of entry contents alone and
+// survives keys whose external identity changes between pushes (arena
+// slots are reused; ties must break on logical cluster ids — distinct
+// live keys must carry distinct ids for fully deterministic pops).
+// Seeding is O(n) via BulkSet + Fix; stale entries are compacted away
+// whenever they outnumber live ones by more than 2:1 (the array exceeding
+// 3× the live count), keeping every operation amortized O(log live).
 package pqueue
 
 // Heap is an indexed max-heap. The zero value is not usable; call New.

@@ -56,24 +56,9 @@ func (h *Lazy) BulkSet(key int, id int32, prio float64) {
 	h.live++
 }
 
-// BulkUpdate makes (id, prio) the key's current entry, superseding any
-// previous one, without restoring heap order; call Fix once after the last
-// BulkUpdate. It is the round-level analogue of Update: the batched merge
-// engine repairs all entries touched by a round of merges with BulkUpdate
-// and a single Fix instead of one sift per entry. Unlike BulkSet it is
-// valid on a populated heap and may be applied to a key repeatedly.
-func (h *Lazy) BulkUpdate(key int, id int32, prio float64) {
-	h.version[key]++
-	if !h.present[key] {
-		h.present[key] = true
-		h.live++
-	}
-	h.entries = append(h.entries, lazyEntry{prio: prio, id: id, key: int32(key), ver: h.version[key]})
-}
-
 // Fix restores heap order in O(len) — Floyd's heapify. When stale entries
-// dominate (as after many BulkUpdate rounds) it compacts first, so the
-// heapify runs over the live set plus a bounded stale fraction.
+// dominate it compacts first, so the heapify runs over the live set plus
+// a bounded stale fraction.
 func (h *Lazy) Fix() {
 	if h.overStale() {
 		h.compact()

@@ -96,99 +96,6 @@ func TestLazyCompaction(t *testing.T) {
 	}
 }
 
-// TestLazyBulkUpdate: BulkUpdate supersedes existing entries (unlike
-// BulkSet) and a single Fix restores pop order for the whole round.
-func TestLazyBulkUpdate(t *testing.T) {
-	h := NewLazy(5)
-	for k := 0; k < 5; k++ {
-		h.BulkSet(k, int32(k), float64(k))
-	}
-	h.Fix()
-	// A "round" of repairs: demote the current best, promote two others,
-	// touch one key twice (only the last write may win).
-	h.BulkUpdate(4, 4, 0.5)
-	h.BulkUpdate(1, 1, 9)
-	h.BulkUpdate(2, 2, 7)
-	h.BulkUpdate(2, 2, 6)
-	h.Fix()
-	want := []struct {
-		k int
-		p float64
-	}{{1, 9}, {2, 6}, {3, 3}, {4, 0.5}, {0, 0}}
-	for _, w := range want {
-		k, p, ok := h.Pop()
-		if !ok || k != w.k || p != w.p {
-			t.Fatalf("pop = %d/%g (%v), want %d/%g", k, p, ok, w.k, w.p)
-		}
-	}
-	if h.Live() != 0 {
-		t.Fatalf("live = %d after drain", h.Live())
-	}
-}
-
-// TestLazyBulkUpdateMatchesUpdate drives two heaps through the same
-// random rounds — one with per-entry Update, one with BulkUpdate + Fix —
-// and requires identical pop streams between rounds.
-func TestLazyBulkUpdateMatchesUpdate(t *testing.T) {
-	const n = 32
-	for seed := int64(0); seed < 10; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		a, b := NewLazy(n), NewLazy(n)
-		for k := 0; k < n; k++ {
-			p := float64(r.Intn(50))
-			a.BulkSet(k, int32(k), p)
-			b.BulkSet(k, int32(k), p)
-		}
-		a.Fix()
-		b.Fix()
-		for round := 0; round < 30; round++ {
-			for i := 0; i < 1+r.Intn(8); i++ {
-				k := r.Intn(n)
-				if r.Intn(5) == 0 {
-					a.Invalidate(k)
-					b.Invalidate(k)
-					continue
-				}
-				p := float64(r.Intn(50))
-				a.Update(k, int32(k), p)
-				b.BulkUpdate(k, int32(k), p)
-			}
-			b.Fix()
-			for i := 0; i < r.Intn(3); i++ {
-				ak, ap, aok := a.Pop()
-				bk, bp, bok := b.Pop()
-				if aok != bok || (aok && (ak != bk || ap != bp)) {
-					t.Fatalf("seed %d round %d: update pop (%d,%g,%v) != bulk pop (%d,%g,%v)",
-						seed, round, ak, ap, aok, bk, bp, bok)
-				}
-			}
-		}
-	}
-}
-
-// TestLazyBulkUpdateCompaction floods the heap through the bulk path and
-// checks Fix's built-in compaction keeps the array bounded.
-func TestLazyBulkUpdateCompaction(t *testing.T) {
-	h := NewLazy(4)
-	for i := 0; i < 10000; i++ {
-		h.BulkUpdate(i%4, int32(i%4), float64(i))
-		if i%16 == 15 {
-			h.Fix()
-		}
-	}
-	h.Fix()
-	if h.Len() > 64 {
-		t.Fatalf("array holds %d entries for %d live keys; Fix never compacted", h.Len(), h.Live())
-	}
-	want := []int{3, 2, 1, 0} // prios 9999, 9998, 9997, 9996
-	for _, k := range want {
-		got, _, ok := h.Pop()
-		if !ok || got != k {
-			t.Fatalf("pop = %d, want %d", got, k)
-		}
-	}
-}
-
 // TestLazyMatchesEagerHeap drives Lazy and the eager indexed Heap through
 // the same random operation sequence and requires identical pop streams.
 func TestLazyMatchesEagerHeap(t *testing.T) {

@@ -47,8 +47,8 @@ import (
 // initial model.
 type Config struct {
 	// Cluster parameterizes the background re-cluster runs. Zero Theta,
-	// K, and Measure inherit the initial model's frozen values; Workers,
-	// sampling, and the phase-crossover knobs apply as in core.Cluster.
+	// K, and Measure inherit the initial model's frozen values; Workers
+	// and sampling apply as in core.Cluster.
 	// The measure must be (or default to) a built-in similarity — the
 	// refreshed model has to freeze.
 	Cluster core.Config

@@ -141,8 +141,8 @@ type ROCKEngine struct {
 func (*ROCKEngine) Name() string { return "rock" }
 
 // Claims implements Engine: worker invariance is the core package's
-// oracle-proven guarantee (batched merge rounds replay the serial merge
-// sequence); sampling and labeling draw from the seeded RNG.
+// oracle-proven guarantee (every sharded phase is byte-identical to its
+// serial form); sampling and labeling draw from the seeded RNG.
 func (*ROCKEngine) Claims() Claims {
 	return Claims{SeedInvariant: false, WorkerInvariant: true, UsesK: true}
 }
