@@ -1,7 +1,8 @@
 package rock_test
 
 // One benchmark per table and figure of the paper's evaluation (E1..E8)
-// and per DESIGN.md ablation (A1..A5), each regenerating its experiment
+// and per ablation or extension (A1..A6) — the experiment ids
+// `rockbench -list` prints — each regenerating its experiment
 // through the harness in quick mode — run `cmd/rockbench` for the
 // paper-scale tables. Micro-benchmarks for the pipeline stages follow.
 

@@ -1,7 +1,7 @@
 // Command rockbench regenerates the tables and figures of the paper's
-// evaluation (and the DESIGN.md ablations) on the synthetic stand-in
-// datasets. Run with no arguments for the full suite, or name experiment
-// ids (E1..E8, A1..A5).
+// evaluation (and the repository's ablations and extensions) on the
+// synthetic stand-in datasets. Run with no arguments for the full suite,
+// or name experiment ids (E1..E8, A1..A6; -list prints them).
 //
 //	rockbench              # everything, paper-scale
 //	rockbench -quick E6    # shrunken timing sweep
@@ -32,7 +32,7 @@ func main() {
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		out    = flag.String("out", "", "write reports to this file instead of stdout")
 		links  = flag.Bool("links", false, "run the serial-vs-parallel link builder sweep and write BENCH_links.json (or -out)")
-		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (map reference vs arena) and write BENCH_merge.json (or -out)")
+		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (map reference vs arena, sparse basket and dense labeled shapes) and write BENCH_merge.json (or -out)")
 		label  = flag.Bool("label", false, "run the labeling sweep (pairwise reference vs indexed vs sharded) and write BENCH_label.json (or -out)")
 		assign = flag.Bool("assign", false, "run the frozen-model serving sweep (pairwise reference vs Model.Assign/AssignBatch + save/load cost) and write BENCH_assign.json (or -out)")
 		srv    = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
@@ -122,7 +122,8 @@ the performance-trajectory records — one bench mode per record:
 
   -links   serial-vs-parallel link builder sweep   → BENCH_links.json
   -merge   agglomeration engine sweep              → BENCH_merge.json
-           (map reference vs the serial arena engine)
+           (map reference vs the serial arena engine, on sparse
+           basket rows and the dense planted-label shape)
   -label   labeling-phase sweep                    → BENCH_label.json
            (pairwise reference vs inverted-index vs sharded workers)
   -assign  frozen-model serving sweep              → BENCH_assign.json

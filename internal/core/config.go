@@ -18,7 +18,10 @@ type Config struct {
 	K int
 	// F maps θ to the exponent f(θ); nil selects MarketBasketF.
 	F FTheta
-	// Goodness scores candidate merges; nil selects RockGoodness.
+	// Goodness scores candidate merges. nil selects the built-in
+	// RockGoodness, evaluated from a per-run table of s^(1+2f) over
+	// cluster sizes. A non-nil function — RockGoodness passed explicitly
+	// included — is called once per candidate: the same output, slower.
 	Goodness GoodnessFunc
 	// Measure is the similarity; nil selects Jaccard.
 	Measure similarity.Measure
@@ -102,9 +105,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.F == nil {
 		c.F = MarketBasketF
-	}
-	if c.Goodness == nil {
-		c.Goodness = RockGoodness
 	}
 	if c.Measure == nil {
 		c.Measure = similarity.Jaccard

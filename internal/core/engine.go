@@ -17,10 +17,14 @@ import (
 // are sorted []linkEntry rows merged with a two-pointer pass into pooled
 // buffers — the hot loop neither allocates nor touches a hash map. The
 // per-cluster heaps of the reference engine collapse into one cached
-// best-partner per slot plus a single lazy indexed heap (pqueue.Lazy)
-// over those bests. Output is byte-identical to the reference
-// (engine_reference.go); the oracle test enforces it configuration by
-// configuration.
+// best partner per slot, a runner-up bound beside it, and a single lazy
+// indexed heap (pqueue.Lazy) over those bests. The bound keeps a merge's
+// best-partner repair O(1) per patched neighbor: a neighbor rescans its
+// row only when its best was consumed by the merge and the merged
+// product falls at or below the bound. The built-in goodness reads a
+// per-run power table instead of calling math.Pow (powTable). Output is
+// byte-identical to the reference (engine_reference.go); the oracle test
+// enforces it configuration by configuration.
 
 // linkEntry is one cross-link in a cluster's adjacency row: the arena
 // slot of the linked cluster and the aggregated cross-link count. Rows
@@ -40,6 +44,11 @@ type engineResult struct {
 	merges       int
 	stoppedEarly bool        // ran out of cross links before reaching k clusters
 	trace        []MergeStep // populated when tracing is requested
+	// Merge work, deterministic for a given input: full row rescans and
+	// the row entries they read (the initial best of every slot
+	// included).
+	rescans int
+	scanned int
 }
 
 // arena is the flat agglomeration state. Slots [0, n) are live cluster
@@ -49,7 +58,8 @@ type engineResult struct {
 // each merge allocates the next id — because the paper's tie-breaks (and
 // the trace) are defined over those ids, not over storage slots.
 type arena struct {
-	good GoodnessFunc
+	good GoodnessFunc // nil selects the built-in goodness, read from pow
+	pow  powTable
 	f    float64
 
 	alive []bool
@@ -66,8 +76,18 @@ type arena struct {
 	bestTo []int32 // slot of best partner, -1 when unlinked
 	bestG  []float64
 	heap   *pqueue.Lazy
+	// Runner-up bound per slot: a (goodness, logical id) pair that sorts,
+	// in (goodness desc, id asc) order, at or before every entry of the
+	// slot's row except the cached best. rescanBest sets it to the exact
+	// runner-up, or to (−Inf, MaxInt32) — after every real entry — when
+	// the row has no second entry. It may name a cluster that has since
+	// merged away.
+	boundG  []float64
+	boundID []int32
 
 	pool [][]linkEntry // retired row buffers, reused for merged rows
+
+	rescans, scanned int // merge work, reported in engineResult
 }
 
 // agglomerate runs ROCK's clustering phase: starting from n singleton
@@ -80,6 +100,8 @@ type arena struct {
 // If weedTrigger > 0, the first time the number of active clusters falls
 // to weedTrigger, clusters of size ≤ weedMaxSize are discarded as outliers
 // (the paper's device for isolating stray points that merge with nothing).
+// A nil good selects the built-in goodness (RockGoodness from a power
+// table).
 func agglomerate(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult {
 	slotOf := make([]int32, n)
 	for i := range slotOf {
@@ -140,6 +162,7 @@ func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) eng
 	}
 
 	a.collect(&res)
+	res.rescans, res.scanned = a.rescans, a.scanned
 	return res
 }
 
@@ -153,22 +176,28 @@ func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) eng
 // array; folding never adds entries, so lt.Entries() bounds it. With
 // singleton slots (slotOf the identity) the fold copies lt row by row.
 // The lazy heap is bulk-initialized in O(slots) from each slot's best
-// partner. The only failure is a folded count past int32, which singleton
-// slots cannot produce.
+// partner. A nil good selects the built-in goodness, whose power table
+// covers every size up to the point count. The only failure is a folded
+// count past int32, which singleton slots cannot produce.
 func newArena(lt *linkage.Compact, slotOf []int32, slots int, good GoodnessFunc, f float64) (*arena, error) {
 	a := &arena{
-		good:   good,
-		f:      f,
-		alive:  make([]bool, slots),
-		id:     make([]int32, slots),
-		size:   make([]int32, slots),
-		head:   make([]int32, slots),
-		tail:   make([]int32, slots),
-		next:   make([]int32, len(slotOf)),
-		rows:   make([][]linkEntry, slots),
-		bestTo: make([]int32, slots),
-		bestG:  make([]float64, slots),
-		heap:   pqueue.NewLazy(slots),
+		good:    good,
+		f:       f,
+		alive:   make([]bool, slots),
+		id:      make([]int32, slots),
+		size:    make([]int32, slots),
+		head:    make([]int32, slots),
+		tail:    make([]int32, slots),
+		next:    make([]int32, len(slotOf)),
+		rows:    make([][]linkEntry, slots),
+		bestTo:  make([]int32, slots),
+		bestG:   make([]float64, slots),
+		heap:    pqueue.NewLazy(slots),
+		boundG:  make([]float64, slots),
+		boundID: make([]int32, slots),
+	}
+	if good == nil {
+		a.pow = newPowTable(len(slotOf), f)
 	}
 	for s := range a.alive {
 		a.alive[s] = true
@@ -247,9 +276,9 @@ func (a *arena) merge(u, v, w int32) {
 }
 
 // patchNeighbor rewrites x's row after slots u and v merged into slot u
-// with combined count cnt, then repairs x's cached best. Rows never grow:
-// the patch is a count update, an in-place deletion, or an in-place
-// shifted replacement.
+// with combined count cnt, then repairs x's cached best and bound. Rows
+// never grow: the patch is a count update, an in-place deletion, or an
+// in-place shifted replacement.
 func (a *arena) patchNeighbor(x, u, v, cnt int32) {
 	row := a.rows[x]
 	pu := lowerBound(row, u)
@@ -274,18 +303,33 @@ func (a *arena) patchNeighbor(x, u, v, cnt int32) {
 	}
 	a.rows[x] = row
 
-	if bt := a.bestTo[x]; bt == u || bt == v {
-		// The cached best was a merge participant; rescan the row.
-		old := a.bestG[x]
-		a.rescanBest(x)
+	// Only the product entry is new: every other entry keeps its sizes,
+	// count and ids, hence its goodness. The product carries the youngest
+	// id, so on a goodness tie it sorts after every other entry.
+	g, w := a.pairGoodness(x, u, cnt), a.id[u]
+	old := a.bestG[x]
+	switch bt := a.bestTo[x]; {
+	case bt == u || bt == v:
+		// The merge consumed the cached best. Every surviving entry sorts
+		// at or after the bound, so a product strictly before the bound
+		// is the new best and the bound still holds; otherwise only a
+		// rescan can tell the runner-up from the product.
+		if sortsBefore(g, w, a.boundG[x], a.boundID[x]) {
+			a.bestTo[x], a.bestG[x] = u, g
+		} else {
+			a.rescanBest(x)
+		}
 		if a.bestG[x] != old {
 			a.publish(x)
 		}
-	} else if g := a.pairGoodness(x, u, cnt); g > a.bestG[x] {
-		// The merged cluster has the youngest id, so on a tie the cached
-		// best keeps winning — only a strictly better goodness displaces it.
+	case sortsBefore(g, w, old, a.id[bt]):
+		// The product displaces the best, which becomes the bound: it
+		// sorted at or before every other entry.
+		a.boundG[x], a.boundID[x] = old, a.id[bt]
 		a.bestTo[x], a.bestG[x] = u, g
 		a.publish(x)
+	case sortsBefore(g, w, a.boundG[x], a.boundID[x]):
+		a.boundG[x], a.boundID[x] = g, w
 	}
 }
 
@@ -357,28 +401,51 @@ func (a *arena) collect(res *engineResult) {
 // pairGoodness evaluates the goodness of merging the clusters in slots x
 // and y over cnt cross links, passing sizes in the order the reference
 // engine used when it stored the pair: the more recently created cluster
-// (higher logical id) first. The built-in goodness functions are
-// symmetric in the sizes; reproducing the convention keeps output
-// byte-identical even for custom asymmetric ones.
+// (higher logical id) first. RockGoodness is symmetric in value but not
+// in rounding — it subtracts the first size's power first — so the
+// convention is what keeps output byte-identical, for the built-in
+// goodness and for custom asymmetric ones alike.
 func (a *arena) pairGoodness(x, y, cnt int32) float64 {
+	ni, nj := a.size[x], a.size[y]
 	if a.id[y] > a.id[x] {
-		return a.good(int(cnt), int(a.size[y]), int(a.size[x]), a.f)
+		ni, nj = nj, ni
 	}
-	return a.good(int(cnt), int(a.size[x]), int(a.size[y]), a.f)
+	if a.good == nil {
+		return a.pow.goodness(cnt, ni, nj)
+	}
+	return a.good(int(cnt), int(ni), int(nj), a.f)
 }
 
-// rescanBest recomputes slot x's cached best partner from its row: max
-// goodness, ties toward the smaller logical id — exactly the top of the
-// reference engine's per-cluster heap.
+// sortsBefore reports whether the entry (g, id) precedes (h, hid) in the
+// merge order: higher goodness first, ties toward the smaller logical id.
+func sortsBefore(g float64, id int32, h float64, hid int32) bool {
+	return g > h || (g == h && id < hid)
+}
+
+// rescanBest recomputes slot x's cached best partner from its row — max
+// goodness, ties toward the smaller logical id: exactly the top of the
+// reference engine's per-cluster heap — and sets the bound to the exact
+// runner-up.
 func (a *arena) rescanBest(x int32) {
+	row := a.rows[x]
+	a.rescans++
+	a.scanned += len(row)
 	bt, bg, bid := int32(-1), 0.0, int32(0)
-	for _, e := range a.rows[x] {
-		g := a.pairGoodness(x, e.to, e.cnt)
-		if bt < 0 || g > bg || (g == bg && a.id[e.to] < bid) {
-			bt, bg, bid = e.to, g, a.id[e.to]
+	sg, sid := math.Inf(-1), int32(math.MaxInt32)
+	for _, e := range row {
+		g, id := a.pairGoodness(x, e.to, e.cnt), a.id[e.to]
+		switch {
+		case bt < 0:
+			bt, bg, bid = e.to, g, id
+		case sortsBefore(g, id, bg, bid):
+			sg, sid = bg, bid
+			bt, bg, bid = e.to, g, id
+		case sortsBefore(g, id, sg, sid):
+			sg, sid = g, id
 		}
 	}
 	a.bestTo[x], a.bestG[x] = bt, bg
+	a.boundG[x], a.boundID[x] = sg, sid
 }
 
 // publish syncs slot x's global-heap entry with its cached best.
@@ -469,8 +536,9 @@ func lowerBound(row []linkEntry, slot int32) int {
 
 // BenchAgglomerateArena runs the production arena engine over a prebuilt
 // CSR link table, exported for the `rockbench -merge` sweep
-// (internal/expt); it is the same arena and merge loop the pipeline runs.
+// (internal/expt); it is the same arena, merge loop and built-in goodness
+// the pipeline runs with a nil Config.Goodness.
 func BenchAgglomerateArena(n int, lt *linkage.Compact, k int, f float64) (clusters, merges int) {
-	res := agglomerate(n, lt, k, RockGoodness, f, 0, 0, false)
+	res := agglomerate(n, lt, k, nil, f, 0, 0, false)
 	return len(res.clusters), res.merges
 }

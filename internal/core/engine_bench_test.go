@@ -24,7 +24,7 @@ func benchLinkTable(b *testing.B, n int) *linkage.Compact {
 	return linkage.Build(nb, linkage.Options{})
 }
 
-func benchAgglomerate(b *testing.B, engine func(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult) {
+func benchAgglomerate(b *testing.B, engine func(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult, good GoodnessFunc) {
 	for _, n := range []int{1000, 10000} {
 		lt := benchLinkTable(b, n)
 		k := n / 100
@@ -32,15 +32,16 @@ func benchAgglomerate(b *testing.B, engine func(n int, lt *linkage.Compact, k in
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine(n, lt, k, RockGoodness, f, 0, 0, false)
+				engine(n, lt, k, good, f, 0, 0, false)
 			}
 		})
 	}
 }
 
 // BenchmarkAgglomerateMap times the reference map-based engine.
-func BenchmarkAgglomerateMap(b *testing.B) { benchAgglomerate(b, agglomerateMap) }
+func BenchmarkAgglomerateMap(b *testing.B) { benchAgglomerate(b, agglomerateMap, RockGoodness) }
 
-// BenchmarkAgglomerateArena times the production arena engine on the
-// identical workload; the oracle test guarantees identical output.
-func BenchmarkAgglomerateArena(b *testing.B) { benchAgglomerate(b, agglomerate) }
+// BenchmarkAgglomerateArena times the production arena engine, on the
+// built-in goodness the pipeline runs, on the identical workload; the
+// oracle test guarantees identical output.
+func BenchmarkAgglomerateArena(b *testing.B) { benchAgglomerate(b, agglomerate, nil) }

@@ -20,12 +20,18 @@ func asymGoodness(links int, ni, nj int, f float64) float64 {
 }
 
 // checkEnginesAgree runs the arena engine and the map-based reference on
-// one configuration and fails on any divergence, field by field.
+// one configuration and fails on any divergence, field by field. A second
+// leg runs the arena on the built-in goodness (nil: the power table)
+// against the reference calling RockGoodness, whatever good is.
 func checkEnginesAgree(t *testing.T, label string, n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) {
 	t.Helper()
 	ref := agglomerateMap(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
 	arena := agglomerate(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
 	checkResultsEqual(t, label+" [arena]", &arena, &ref)
+
+	rockRef := agglomerateMap(n, lt, k, RockGoodness, f, weedTrigger, weedMaxSize, trace)
+	builtin := agglomerate(n, lt, k, nil, f, weedTrigger, weedMaxSize, trace)
+	checkResultsEqual(t, label+" [arena built-in]", &builtin, &rockRef)
 }
 
 // checkResultsEqual fails on any field-level divergence between an
@@ -123,6 +129,56 @@ func TestEngineOracleDense(t *testing.T) {
 		label := fmt.Sprintf("dense seed=%d n=%d groups=%d", seed, n, groups)
 		checkEnginesAgree(t, label, n, lt, groups, RockGoodness, 1.0/3.0, 0, 0, true)
 		checkEnginesAgree(t, label+" weed", n, lt, groups, RockGoodness, 1.0/3.0, n/2, 2, true)
+	}
+}
+
+// TestEngineOracleDegenerateExponent runs the random configurations at
+// f = 0 and f = −0.5 (exponents 1 and 0), where the expected-link
+// denominator is zero or negative and the goodness falls back to the raw
+// link count: the fallback must agree between the power table and
+// RockGoodness, ties between equal counts included.
+func TestEngineOracleDegenerateExponent(t *testing.T) {
+	for _, c := range []float64{0, -0.5} {
+		for seed := int64(0); seed < 16; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			n := 2 + r.Intn(120)
+			lt := randomLinkTable(r, n)
+			k := 1 + r.Intn(6)
+			f := ConstantF(c)(0.05 + 0.9*r.Float64())
+			weedTrigger, weedMaxSize := 0, 0
+			if seed%2 == 1 {
+				weedTrigger = 1 + r.Intn(n)
+				weedMaxSize = 1 + r.Intn(3)
+			}
+			label := fmt.Sprintf("f=%g seed=%d n=%d k=%d weed=%d/%d", f, seed, n, k, weedTrigger, weedMaxSize)
+			checkEnginesAgree(t, label, n, lt, k, RockGoodness, f, weedTrigger, weedMaxSize, true)
+		}
+	}
+}
+
+// denseLabelsTable builds the link table of a planted-label workload
+// shaped like the zoo's `labeled` row: 4 classes over 10 attributes of 5
+// values, 10% noise, θ = 0.5. About a quarter of the points are each
+// point's neighbors, so merged rows are dense and most merges consume
+// the cached best of most of their neighbors — the runner-up bound's
+// home ground.
+func denseLabelsTable(n int, seed int64) *linkage.Compact {
+	d := synth.Labeled(synth.LabeledConfig{Records: n, Classes: 4, Attributes: 10, Alphabet: 5, Noise: 0.1, Seed: seed})
+	nb := similarity.ComputeIndexed(d.Trans, 0.5, similarity.Options{})
+	return linkage.Build(nb, linkage.Options{})
+}
+
+// TestEngineOracleDenseLabels runs both engines on dense planted-label
+// link tables, plain, traced, and with weeding.
+func TestEngineOracleDenseLabels(t *testing.T) {
+	f := MarketBasketF(0.5)
+	for seed := int64(1); seed <= 3; seed++ {
+		n := 300
+		lt := denseLabelsTable(n, seed)
+		label := fmt.Sprintf("dense-labels seed=%d n=%d", seed, n)
+		checkEnginesAgree(t, label, n, lt, 4, RockGoodness, f, 0, 0, false)
+		checkEnginesAgree(t, label+" trace", n, lt, 1, RockGoodness, f, 0, 0, true)
+		checkEnginesAgree(t, label+" weed+trace", n, lt, 4, RockGoodness, f, n/2, 2, true)
 	}
 }
 

@@ -25,8 +25,20 @@
 // and weeding scrub dead entries), and are recycled through a buffer
 // pool; member lists are intrusive (head/tail/next over point indices),
 // so merging is two pointer writes. Each slot caches its best merge
-// partner (bestTo/bestG); the global lazy heap orders slots by that
-// cached best, tie-breaking on logical id.
+// partner (bestTo/bestG) plus a runner-up bound (boundG/boundID): a
+// (goodness, logical id) pair that sorts, in (goodness desc, id asc)
+// order, at or before every row entry except the cached best. The bound
+// lets a merge repair a neighbor's best in O(1) — only a consumed best
+// whose replacement falls at or below the bound rescans the row. The
+// global lazy heap orders slots by that cached best, tie-breaking on
+// logical id.
+//
+// Goodness evaluation: a nil Config.Goodness selects the built-in
+// RockGoodness, which the arena evaluates from a per-run power table
+// pow[s] = s^(1+2f) over every cluster size the run can reach
+// (powTable), so the hot loop computes pow[a+b] − pow[a] − pow[b] with no
+// math.Pow call and the same bits RockGoodness returns. A non-nil
+// Goodness is called once per candidate.
 package core
 
 import (
@@ -74,6 +86,38 @@ func RockGoodness(links int, ni, nj int, f float64) float64 {
 	return float64(links) / denom
 }
 
+// powTable is the built-in goodness's per-run table: pow[s] =
+// s^(1+2f) for every cluster size s in [0, points]. Cluster sizes are
+// integers and f is fixed for a run, so the three math.Pow calls
+// RockGoodness makes per candidate become three loads.
+type powTable []float64
+
+// newPowTable builds the table for clusters of up to points points.
+func newPowTable(points int, f float64) powTable {
+	exp := 1 + 2*f
+	pow := make(powTable, points+1)
+	for s := range pow {
+		pow[s] = math.Pow(float64(s), exp)
+	}
+	return pow
+}
+
+// goodness is RockGoodness(links, ni, nj, f) read from the table, bit
+// for bit: the same powers subtracted in the same order —
+// (pow[ni+nj] − pow[ni]) − pow[nj] — because floating-point subtraction
+// is not associative, and the same zero-link and non-positive-denominator
+// cases.
+func (pow powTable) goodness(links, ni, nj int32) float64 {
+	if links == 0 {
+		return 0
+	}
+	denom := pow[ni+nj] - pow[ni] - pow[nj]
+	if denom <= 0 {
+		return float64(links)
+	}
+	return float64(links) / denom
+}
+
 // LinkCountGoodness merges by raw cross-link count — the unnormalized
 // ablation of RockGoodness. Large clusters dominate.
 func LinkCountGoodness(links int, ni, nj int, f float64) float64 {
@@ -81,8 +125,8 @@ func LinkCountGoodness(links int, ni, nj int, f float64) float64 {
 }
 
 // AverageLinkGoodness merges by links/(ni·nj), the mean number of links
-// per cross pair — a plausible but weaker normalization used as an
-// ablation in DESIGN.md (A1).
+// per cross pair — a plausible but weaker normalization, compared in the
+// goodness ablation (experiment A1 of `rockbench -list`).
 func AverageLinkGoodness(links int, ni, nj int, f float64) float64 {
 	return float64(links) / (float64(ni) * float64(nj))
 }

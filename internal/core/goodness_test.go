@@ -61,6 +61,36 @@ func TestRockGoodnessDegenerateExponent(t *testing.T) {
 	}
 }
 
+// TestPowTableMatchesRockGoodness: the built-in goodness the arena reads
+// from its per-run power table returns RockGoodness's bits exactly, for
+// every size pair up to 256 points in both argument orders, across the
+// paper's f(θ) values and the degenerate and steep exponents.
+func TestPowTableMatchesRockGoodness(t *testing.T) {
+	fs := []float64{0, 2, -0.5}
+	for _, theta := range []float64{0.1, 0.5, 0.73, 0.8} {
+		fs = append(fs, MarketBasketF(theta))
+	}
+	const maxPoints = 256
+	for _, f := range fs {
+		pow := newPowTable(maxPoints, f)
+		for ni := int32(1); ni < maxPoints; ni++ {
+			for nj := int32(1); ni+nj <= maxPoints; nj++ {
+				for _, links := range []int32{0, 1, 7, 1 << 20} {
+					for _, order := range [][2]int32{{ni, nj}, {nj, ni}} {
+						a, b := order[0], order[1]
+						got := pow.goodness(links, a, b)
+						want := RockGoodness(int(links), int(a), int(b), f)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("f=%g links=%d sizes (%d,%d): table %v (%#x), RockGoodness %v (%#x)",
+								f, links, a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAblationGoodnesses(t *testing.T) {
 	if LinkCountGoodness(9, 100, 100, 0.3) != 9 {
 		t.Fatal("LinkCountGoodness must ignore sizes")

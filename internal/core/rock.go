@@ -195,7 +195,8 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 
 	// Phase 5: agglomerate on the arena engine, from one slot per seed
 	// group plus one singleton per other kept point. Weeding triggers on
-	// the initial slot count.
+	// the initial slot count. A nil cfg.Goodness (withDefaults leaves it
+	// nil) runs the built-in goodness from the arena's power table.
 	slotOf, slots := seedSlots(kept, len(seed), groupOf)
 	weedTrigger := 0
 	if cfg.WeedAt > 0 {

@@ -211,6 +211,29 @@ func TestBenchNeighborsQuick(t *testing.T) {
 	}
 }
 
+// TestBenchMergeQuick: the merge sweep covers sparse and dense link
+// rows, each row records its shape, and both engines agree and are timed.
+func TestBenchMergeQuick(t *testing.T) {
+	var buf bytes.Buffer
+	if err := BenchMerge(&buf, Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	var rep MergeBenchReport
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[string]int{}
+	for _, row := range rep.Rows {
+		shapes[row.Shape]++
+		if row.Merges < 1 || row.MapSec <= 0 || row.ArenaSec <= 0 {
+			t.Fatalf("implausible row %+v", row)
+		}
+	}
+	if !rep.Quick || rep.Host == "" || shapes["basket"] != 2 || shapes["labeled"] != 1 {
+		t.Fatalf("unexpected report shape: quick=%v host=%q shapes=%v", rep.Quick, rep.Host, shapes)
+	}
+}
+
 func TestBenchZooQuick(t *testing.T) {
 	var buf bytes.Buffer
 	if err := BenchZoo(&buf, Options{Quick: true}); err != nil {
@@ -221,8 +244,8 @@ func TestBenchZooQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRows := 3 * 7 // three workloads, seven engines
-	if !rep.Quick || len(rep.Rows) != wantRows {
-		t.Fatalf("unexpected report shape: quick=%v rows=%d (want %d)", rep.Quick, len(rep.Rows), wantRows)
+	if !rep.Quick || rep.Host == "" || len(rep.Rows) != wantRows {
+		t.Fatalf("unexpected report shape: quick=%v host=%q rows=%d (want %d)", rep.Quick, rep.Host, len(rep.Rows), wantRows)
 	}
 	for _, row := range rep.Rows {
 		if row.Err != "" {

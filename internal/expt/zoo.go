@@ -32,6 +32,7 @@ type ZooBenchRow struct {
 
 // ZooBenchReport is the BENCH_zoo.json payload.
 type ZooBenchReport struct {
+	Host       string        `json:"host"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	NumCPU     int           `json:"numcpu"`
 	Quick      bool          `json:"quick"`
@@ -76,6 +77,7 @@ func zooWorkloads(opts Options) []zooWorkload {
 // conformance suite enforces on all engines alike.
 func BenchZoo(w io.Writer, opts Options) error {
 	report := ZooBenchReport{
+		Host:       hostName(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      opts.Quick,

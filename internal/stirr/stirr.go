@@ -17,7 +17,7 @@
 // normalization): a power iteration on the non-negative value
 // co-occurrence matrix, which converges for any non-degenerate start by
 // Perron–Frobenius — the convergence guarantee that is the ICDE 2000
-// paper's point. See DESIGN.md (A5).
+// paper's point. Experiment A5 (`rockbench A5`) runs both against ROCK.
 package stirr
 
 import (

@@ -1,6 +1,6 @@
 // Package synth generates the synthetic datasets that stand in for the
-// paper's evaluation data (see DESIGN.md §3 for the substitution
-// rationale): market-basket streams for the scalability experiments,
+// paper's evaluation data in experiments E1..E8 (`rockbench -list`):
+// market-basket streams for the scalability experiments,
 // votes-like and mushroom-like categorical records for the quality tables,
 // simulated mutual-fund NAV series for the time-series case study, and a
 // generic labeled categorical generator for ablations and property tests.

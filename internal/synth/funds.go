@@ -48,7 +48,7 @@ func (c FundsConfig) withDefaults() FundsConfig {
 	return c
 }
 
-// Funds simulates the mutual-fund case study (DESIGN.md E5): a three-
+// Funds simulates the mutual-fund case study (experiment E5): a three-
 // factor daily return model over nine sectors, 795 funds total. Each fund
 // becomes the transaction of the days on which its NAV rose — the paper's
 // conversion of the time series to the categorical domain. Labels carry

@@ -74,7 +74,7 @@ func (c MushroomConfig) withDefaults() MushroomConfig {
 }
 
 // Mushroom generates the stand-in for the UCI Mushroom dataset
-// (DESIGN.md E3/E4): 8124 records, 22 attributes, 22 species in 11
+// (experiments E3/E4): 8124 records, 22 attributes, 22 species in 11
 // edible/poisonous families. Records are interleaved across species so
 // prefix samples stay representative. Names carry the ground-truth
 // species for diagnostics.

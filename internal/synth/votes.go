@@ -84,7 +84,7 @@ func (c VotesConfig) withDefaults() VotesConfig {
 }
 
 // Votes generates the stand-in for the UCI Congressional Voting Records
-// dataset used in the paper's first quality experiment (DESIGN.md E1/E2).
+// dataset used in the paper's first quality experiment (experiments E1/E2).
 // Records interleave parties (as the UCI file does) so prefix sampling
 // stays representative.
 func Votes(cfg VotesConfig) *dataset.Dataset {

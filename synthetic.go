@@ -21,22 +21,22 @@ type (
 )
 
 // GenerateBasket produces a labeled market-basket dataset from cluster
-// templates (DESIGN.md E6 workload).
+// templates (the workload of experiment E6).
 func GenerateBasket(cfg BasketConfig) *Dataset { return synth.Basket(cfg) }
 
 // GenerateLabeled produces generic labeled categorical records.
 func GenerateLabeled(cfg LabeledConfig) *Dataset { return synth.Labeled(cfg) }
 
 // GenerateVotes produces the 435-record stand-in for the UCI
-// Congressional Voting Records dataset (DESIGN.md E1/E2).
+// Congressional Voting Records dataset (experiments E1/E2).
 func GenerateVotes(cfg VotesConfig) *Dataset { return synth.Votes(cfg) }
 
 // GenerateMushroom produces the 8124-record stand-in for the UCI Mushroom
-// dataset (DESIGN.md E3/E4).
+// dataset (experiments E3/E4).
 func GenerateMushroom(cfg MushroomConfig) *Dataset { return synth.Mushroom(cfg) }
 
 // GenerateFunds produces the 795-fund up-day transactions of the
-// mutual-fund case study (DESIGN.md E5).
+// mutual-fund case study (experiment E5).
 func GenerateFunds(cfg FundsConfig) *Dataset { return synth.Funds(cfg) }
 
 // FundSectorCount reports the number of sectors in the simulated fund
