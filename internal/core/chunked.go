@@ -42,6 +42,11 @@ func ChunkedCluster(ts []dataset.Transaction, cfg ChunkedConfig) (*Result, error
 	if err := cfg.Base.Validate(); err != nil {
 		return nil, err
 	}
+	// Checked here as well as in each chunk's Cluster call, so the error
+	// names the transaction's index in ts rather than in its chunk.
+	if err := dataset.CheckTransactions(ts, -1); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if cfg.ChunkK <= 0 {
 		cfg.ChunkK = 2 * cfg.Base.K
 	}

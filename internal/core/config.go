@@ -23,16 +23,15 @@ type Config struct {
 	// cluster sizes. A non-nil function — RockGoodness passed explicitly
 	// included — is called once per candidate: the same output, slower.
 	Goodness GoodnessFunc
-	// Measure is the similarity; nil selects Jaccard.
+	// Measure is the similarity; nil selects Jaccard. The built-in
+	// measures find θ-neighbors through an inverted item index. A custom
+	// Measure, which may be positive on disjoint transactions, runs
+	// pairwise in both the neighbor and the labeling phase: O(n²) over
+	// the sample, and O(candidates × Σ|L_i|) labeling.
 	Measure similarity.Measure
 	// IncludeSelf makes every point its own neighbor, as some ROCK
 	// descriptions assume. Default false (matches pyclustering/cba).
 	IncludeSelf bool
-	// BruteNeighbors forces O(n²) neighbor computation instead of the
-	// inverted index. The index is exact for the built-in measures; set
-	// this when supplying a Measure that can be positive on disjoint
-	// transactions.
-	BruteNeighbors bool
 	// LSHNeighbors switches the neighbor phase to MinHash banded LSH
 	// with exact verification of candidates: no false-positive
 	// neighbors, tunably-rare false negatives, near-linear candidate
@@ -72,11 +71,10 @@ type Config struct {
 	// Workers bounds parallelism in the neighbor, link, and labeling
 	// phases; 0 = GOMAXPROCS. Results are byte-identical for every worker
 	// count. Labeling shards only runs of 1024 or more candidates; below
-	// that the goroutine handoff costs more than it saves. Independently
-	// of sharding, the labeler consults an inverted index over the
-	// labeled points for the built-in measures (exact — see
-	// label_indexed.go) and falls back to pairwise evaluation for custom
-	// Measure funcs.
+	// that the goroutine handoff costs more than it saves. Both the
+	// neighbor and the labeling phase query a similarity.Index, which is
+	// exact for every Measure: item postings for the built-in measures,
+	// pairwise evaluation for custom Measure funcs.
 	Workers int
 
 	// TraceMerges records every merge step into Result.MergeTrace,

@@ -11,127 +11,57 @@ import (
 //
 // The reference labeler (labelPoint, kept in label.go as the oracle
 // fixture) evaluates the measure on every (candidate, labeled point)
-// pair: O(|candidates| × Σ|Lᵢ|) similarity calls, each a linear merge of
-// two transactions. This file replaces that with an inverted index over
-// the labeled points: one pass over a candidate's items accumulates the
-// intersection size c = |t ∩ q| for exactly the labeled points q sharing
-// an item with t, and the θ-test sim(t,q) ≥ θ is then decided from
-// (c, |t|, |q|) alone through the measure's CountedMeasure form.
-//
-// Exactness argument: every built-in measure (Jaccard, Dice, Cosine,
-// Overlap) is a pure function of those three numbers, and the counted
-// form IS the Measure's implementation (similarity/counted.go), so the
-// decision is bit-identical to the pairwise evaluation. Pairs the index
-// never touches have c = 0, where all four measures are ≤ 0 < θ — so for
-// θ > 0 skipping them cannot change any neighbor count. Custom Measure
-// funcs (similarity.Counted returns nil) and θ ≤ 0 (a disjoint pair is
-// then a neighbor) take the pairwise fallback automatically; the choice
-// never changes results, only cost.
+// pair. The production labeler asks one similarity.Index, built over the
+// labeled points of every L_i flattened into one slice, for the
+// candidate's θ-neighbors and tallies them per set. The index answers
+// exactly for every measure and θ (it scans item postings for a built-in
+// measure at θ > 0 and falls back to the pairwise scan otherwise; the
+// exactness argument is on similarity.Index), so each N_i equals the
+// reference's count, and the score and tie rule below reproduce the
+// reference's choice.
 type labeler struct {
-	ts    []dataset.Transaction
-	sets  [][]int // L_i per cluster, dataset-global indices
-	theta float64
-	f     float64
-	sim   similarity.Measure
+	ts []dataset.Transaction // the dataset that run's candidates index
 
 	// denom[i] is (|L_i|+1)^f, hoisted out of the per-candidate loop.
 	// math.Pow is pure, so the hoist preserves the reference's bits.
 	denom []float64
 
-	// Indexed path (indexed == false ⇒ pairwise fallback).
-	indexed  bool
-	cm       similarity.CountedMeasure
-	ptGlobal []int32   // flattened labeled points: dataset index
-	ptSet    []int32   // flattened labeled points: owning cluster index
-	postings [][]int32 // item → flattened labeled-point ids holding it
-
-	// postingsMap replaces the dense postings array when the labeled
-	// points' item ids are sparse: the dense array is sized by the MAX id,
-	// so a single huge id (legal in a FreezeSets call, and reachable from
-	// a checksummed-but-mutated model file) would balloon it far past the
-	// data. Non-nil ⇔ postings is nil; the lookup is the only difference.
-	postingsMap map[dataset.Item][]int32
+	ix    *similarity.Index // over the flattened labeled points
+	setOf []int32           // flattened labeled point → owning cluster index
 }
 
 // newLabeler prepares the labeling phase for the given cluster subsets.
 // A nil sim selects Jaccard, mirroring Config.withDefaults.
 func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim similarity.Measure) *labeler {
-	if sim == nil {
-		sim = similarity.Jaccard
-	}
-	lb := &labeler{ts: ts, sets: sets, theta: theta, f: f, sim: sim}
-	lb.denom = make([]float64, len(sets))
+	lb := &labeler{ts: ts, denom: make([]float64, len(sets))}
+	var pts []dataset.Transaction
 	for i, li := range sets {
 		lb.denom[i] = math.Pow(float64(len(li)+1), f)
-	}
-	cm := similarity.Counted(sim)
-	if cm == nil || theta <= 0 {
-		return lb
-	}
-	lb.indexed = true
-	lb.cm = cm
-
-	npts := 0
-	for _, li := range sets {
-		npts += len(li)
-	}
-	lb.ptGlobal = make([]int32, 0, npts)
-	lb.ptSet = make([]int32, 0, npts)
-	nitems := 0
-	occurrences := 0
-	for i, li := range sets {
 		for _, q := range li {
-			lb.ptGlobal = append(lb.ptGlobal, int32(q))
-			lb.ptSet = append(lb.ptSet, int32(i))
-			occurrences += len(ts[q])
-			for _, it := range ts[q] {
-				if int(it) >= nitems {
-					nitems = int(it) + 1
-				}
-			}
+			pts = append(pts, ts[q])
+			lb.setOf = append(lb.setOf, int32(i))
 		}
 	}
-	// Dense array when the id space is within a small factor of the data
-	// it indexes (always true for vocabulary-interned ids); map otherwise,
-	// so the index stays linear in the labeled points no matter how large
-	// an id a caller — or a corrupted-but-checksummed model file — throws
-	// at it. The two lookups return the same lists, so the choice is
-	// invisible to results.
-	if nitems <= 4*occurrences+1024 {
-		lb.postings = make([][]int32, nitems)
-		for pid, q := range lb.ptGlobal {
-			for _, it := range ts[q] {
-				lb.postings[it] = append(lb.postings[it], int32(pid))
-			}
-		}
-	} else {
-		lb.postingsMap = make(map[dataset.Item][]int32, occurrences)
-		for pid, q := range lb.ptGlobal {
-			for _, it := range ts[q] {
-				lb.postingsMap[it] = append(lb.postingsMap[it], int32(pid))
-			}
-		}
-	}
+	lb.ix = similarity.NewIndex(pts, theta, sim)
 	return lb
 }
 
-// labelScratch is one worker's reusable per-candidate state: intersection
-// counters over the flattened labeled points and θ-neighbor counters over
-// the sets, each paired with a touched list so clearing costs O(touched),
-// not O(total).
+// labelScratch is one worker's reusable per-candidate state: the index's
+// query scratch, the candidate's θ-neighbors among the labeled points,
+// and θ-neighbor counters over the sets paired with a touched list, so
+// clearing costs O(touched), not O(sets).
 type labelScratch struct {
-	counts      []int32 // per flattened labeled point: |t ∩ q| so far
-	touched     []int32 // flattened ids with counts > 0
+	ix          *similarity.Scratch
+	hits        []int32 // flattened labeled points within θ of the candidate
 	setN        []int32 // per set: θ-neighbors of the candidate found
 	touchedSets []int32 // sets with setN > 0
 }
 
 func (lb *labeler) newScratch() *labelScratch {
 	return &labelScratch{
-		counts:      make([]int32, len(lb.ptGlobal)),
-		touched:     make([]int32, 0, 256),
-		setN:        make([]int32, len(lb.sets)),
-		touchedSets: make([]int32, 0, len(lb.sets)),
+		ix:          lb.ix.NewScratch(),
+		setN:        make([]int32, len(lb.denom)),
+		touchedSets: make([]int32, 0, len(lb.denom)),
 	}
 }
 
@@ -139,49 +69,14 @@ func (lb *labeler) newScratch() *labelScratch {
 // N_i / (|L_i|+1)^f, ties toward the smaller index, or -1 when the
 // candidate has no θ-neighbor in any L_i.
 func (lb *labeler) label(t dataset.Transaction, sc *labelScratch) int {
-	if !lb.indexed {
-		return labelPoint(t, lb.ts, lb.sets, lb.theta, lb.f, lb.sim)
-	}
-	return lb.labelIndexed(t, sc)
-}
-
-// labelIndexed is the index-driven scoring pass for one candidate.
-func (lb *labeler) labelIndexed(t dataset.Transaction, sc *labelScratch) int {
-	// Accumulate |t ∩ q| for every labeled point q sharing an item.
-	// Items outside the postings range — above it, or negative (invalid
-	// per the data model, but the pairwise reference tolerates them in
-	// candidates) — occur in no labeled point and cannot contribute.
-	for _, it := range t {
-		var plist []int32
-		if lb.postings != nil {
-			if it < 0 || int(it) >= len(lb.postings) {
-				continue
-			}
-			plist = lb.postings[it]
-		} else {
-			plist = lb.postingsMap[it]
+	sc.hits = lb.ix.Query(t, sc.ix, sc.hits[:0])
+	for _, pid := range sc.hits {
+		si := lb.setOf[pid]
+		if sc.setN[si] == 0 {
+			sc.touchedSets = append(sc.touchedSets, si)
 		}
-		for _, pid := range plist {
-			if sc.counts[pid] == 0 {
-				sc.touched = append(sc.touched, pid)
-			}
-			sc.counts[pid]++
-		}
+		sc.setN[si]++
 	}
-	// Threshold each touched pair from (c, |t|, |q|) and tally N_i.
-	for _, pid := range sc.touched {
-		c := sc.counts[pid]
-		sc.counts[pid] = 0
-		q := lb.ptGlobal[pid]
-		if lb.cm(int(c), len(t), len(lb.ts[q])) >= lb.theta {
-			si := lb.ptSet[pid]
-			if sc.setN[si] == 0 {
-				sc.touchedSets = append(sc.touchedSets, si)
-			}
-			sc.setN[si]++
-		}
-	}
-	sc.touched = sc.touched[:0]
 
 	// Argmax over the touched sets. The reference scans sets in ascending
 	// index with a strict >, keeping the smallest index on score ties;

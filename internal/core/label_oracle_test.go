@@ -173,10 +173,10 @@ func TestLabelOracleCluster(t *testing.T) {
 	}
 }
 
-// TestLabelIndexedFallbackSelection pins the dispatch rule: built-in
-// measures at θ > 0 label through the index; custom measures and θ ≤ 0
-// (where disjoint pairs are neighbors, invisible to the index) must fall
-// back to pairwise.
+// TestLabelIndexedFallbackSelection pins the dispatch rule of the
+// labeler's index: built-in measures at θ > 0 scan item postings; custom
+// measures and θ ≤ 0 (where disjoint pairs are neighbors, invisible to
+// postings) must query pairwise.
 func TestLabelIndexedFallbackSelection(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ts := randomTransactionsCore(r, 40, 5, 12)
@@ -198,8 +198,8 @@ func TestLabelIndexedFallbackSelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		lb := newLabeler(ts, sets, tc.theta, 0.5, tc.m)
-		if lb.indexed != tc.indexed {
-			t.Errorf("%s: indexed = %v, want %v", tc.name, lb.indexed, tc.indexed)
+		if indexed := !lb.ix.Pairwise(); indexed != tc.indexed {
+			t.Errorf("%s: indexed = %v, want %v", tc.name, indexed, tc.indexed)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 // Parallel labeling.
 //
 // Candidates are independent: each one's assignment reads only the
-// immutable index (or the transactions, on the pairwise fallback) and
-// writes its own slot of the output, so sharding them across workers
-// cannot reorder or change anything — output is byte-identical for every
-// worker count by construction, with no validation machinery needed.
+// immutable index and writes its own slot of the output, so sharding
+// them across workers cannot reorder or change anything — output is
+// byte-identical for every worker count by construction, with no
+// validation machinery needed.
 // Workers claim fixed-size chunks off an atomic cursor (the shared
 // chunkwork.Run loop), so a candidate with an expensive neighborhood
 // doesn't stall a whole static shard.
@@ -76,9 +76,9 @@ func (lb *labeler) runEach(n int, at func(int) dataset.Transaction, workers, ser
 	return out
 }
 
-// labelCandidates is the phase-6 entry point: builds the labeler (index
-// or fallback per the measure and θ) and shards the candidates per the
-// config. cfg must already carry defaults.
+// labelCandidates is the phase-6 entry point: builds the labeler over
+// the sets and shards the candidates per the config. cfg must already
+// carry defaults.
 func labelCandidates(ts []dataset.Transaction, candidates []int, sets [][]int, cfg Config) []int {
 	if cfg.labelReference {
 		return labelCandidatesReference(ts, candidates, sets, cfg.Theta, cfg.fval(), cfg.Measure)

@@ -13,19 +13,19 @@ import (
 // Frozen servable models.
 //
 // The paper's route to large data is "cluster a Chernoff-sized sample,
-// then label everything else" — but the labeling index (label_indexed.go)
-// lives only as long as the clustering process, so serving assignment
-// queries used to mean re-clustering on every start. A Model freezes the
+// then label everything else" — but the labeler (label_indexed.go) lives
+// only as long as the clustering process, so serving assignment queries
+// used to mean re-clustering on every start. A Model freezes the
 // artifacts the labeling phase needs — the labeled points' transactions,
-// their inverted item postings, the per-cluster normalization
-// denominators, and the (measure, θ, f) metadata — into an immutable,
-// goroutine-safe structure that can be saved to disk (serialize.go) and
-// loaded into any later process.
+// the per-cluster normalization denominators, and the (measure, θ, f)
+// metadata — into an immutable, goroutine-safe structure that can be
+// saved to disk (serialize.go) and loaded into any later process, which
+// rebuilds the similarity.Index over the labeled points.
 //
 // Invariant: Model.Assign is bit-identical to the serial pairwise
 // reference labelPoint over the frozen sets. The model reuses the very
-// labeler the pipeline's phase 6 runs (so the exactness argument in
-// label_indexed.go carries over unchanged), and the model oracle test
+// labeler the pipeline's phase 6 runs, whose index is exact for every
+// measure and θ (see similarity.Index), and the model oracle test
 // enforces the identity across all four built-in measures and worker
 // counts under the race detector.
 
@@ -116,7 +116,9 @@ func FreezeDataset(d *dataset.Dataset, res *Result, cfg Config) (*Model, error) 
 // FreezeSets builds a Model from explicit labeled subsets: sets[i] lists
 // the dataset-global indices of cluster i's labeled points, clusterSizes
 // the full cluster sizes (nil defaults to the set sizes), and theta / f /
-// m the labeling parameters (nil m selects Jaccard). The transactions are
+// m the labeling parameters (nil m selects Jaccard). Each labeled point
+// must be canonical with no negative item (dataset.Transaction.Check);
+// FreezeSets names the first that is not. The transactions are
 // deep-copied; the model shares no memory with the caller afterwards.
 func FreezeSets(ts []dataset.Transaction, sets [][]int, clusterSizes []int, theta, f float64, m similarity.Measure) (*Model, error) {
 	name := similarity.Name(m)
@@ -148,6 +150,12 @@ func FreezeSets(ts []dataset.Transaction, sets [][]int, clusterSizes []int, thet
 		for _, q := range li {
 			if q < 0 || q >= len(ts) {
 				return nil, fmt.Errorf("core: labeled point index %d outside the dataset (n=%d)", q, len(ts))
+			}
+			// Save writes the points as they are and LoadModel rejects
+			// malformed ones, so they are refused here, not in a later
+			// process.
+			if err := ts[q].Check(-1); err != nil {
+				return nil, fmt.Errorf("core: transaction %d: %w", q, err)
 			}
 			pts = append(pts, ts[q].Clone())
 		}

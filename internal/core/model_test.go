@@ -588,7 +588,7 @@ func TestModelAssignDataset(t *testing.T) {
 	}
 }
 
-// TestModelSparseItemIDs pins the labeler's sparse-postings fallback: a
+// TestModelSparseItemIDs pins the index's sparse-postings fallback: a
 // model whose labeled points carry item ids far beyond the data (legal
 // through FreezeSets, and reachable from a checksummed model file) must
 // neither over-allocate a dense max-id-sized postings array nor change a
@@ -608,10 +608,10 @@ func TestModelSparseItemIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.lb.postings != nil {
+	if !m.lb.ix.SparsePostings() {
 		t.Fatalf("dense postings array built over a %d-wide id space", huge)
 	}
-	if !m.lb.indexed {
+	if m.lb.ix.Pairwise() {
 		t.Fatal("sparse ids fell back to the pairwise path; the map index should serve them")
 	}
 	queries := ts[4:]
@@ -644,7 +644,7 @@ func TestLabelerDensePostingsStayDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.lb.postings == nil {
-		t.Fatal("dense ids built a sparse postings map")
+	if m.lb.ix.Pairwise() || m.lb.ix.SparsePostings() {
+		t.Fatal("dense ids built no dense postings array")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/rockclust/rock/internal/dataset"
@@ -49,11 +50,16 @@ type QRockConfig struct {
 // carries at least two links, its endpoints being common neighbors of the
 // pair. Without IncludeSelf a link counts only third parties, so two
 // points that are each other's only neighbor share no link and never
-// merge, while QRock joins them.
+// merge, while QRock joins them. Like Cluster, QRock returns an error
+// naming the first transaction that is not canonical or holds a negative
+// item.
 func QRock(ts []dataset.Transaction, cfg QRockConfig) (*Result, error) {
 	rcfg := Config{Theta: cfg.Theta, K: 1, Measure: cfg.Measure, Workers: cfg.Workers}
 	if err := rcfg.Validate(); err != nil {
 		return nil, err
+	}
+	if err := dataset.CheckTransactions(ts, -1); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	rcfg = rcfg.withDefaults()
 	n := len(ts)

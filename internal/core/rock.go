@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -109,7 +110,9 @@ func (r *Result) Sizes() []int {
 // Cluster runs the full ROCK pipeline on ts: optional uniform sampling,
 // θ-neighbor computation, outlier pruning, link computation, heap-driven
 // agglomeration down to cfg.K clusters with optional weeding, and — when a
-// sample was used — labeling of the remaining points.
+// sample was used — labeling of the remaining points. Every transaction
+// must be canonical with no negative item (dataset.CheckTransactions);
+// Cluster returns an error naming the first that is not.
 func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 	return cluster(ts, nil, cfg)
 }
@@ -123,6 +126,9 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if err := dataset.CheckTransactions(ts, -1); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	cfg = cfg.withDefaults()
 	n := len(ts)
@@ -158,10 +164,8 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	}
 
 	// Phase 2: θ-neighbors over the sample.
-	simOpts := similarity.Options{Measure: cfg.Measure, IncludeSelf: cfg.IncludeSelf, Workers: cfg.Workers}
 	var nb *similarity.Neighbors
-	switch {
-	case cfg.LSHNeighbors:
+	if cfg.LSHNeighbors {
 		nb = similarity.ComputeLSH(local, cfg.Theta, similarity.LSHOptions{
 			Hashes:      cfg.LSHHashes,
 			Bands:       cfg.LSHBands,
@@ -170,10 +174,8 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 			IncludeSelf: cfg.IncludeSelf,
 			Workers:     cfg.Workers,
 		})
-	case cfg.BruteNeighbors:
-		nb = similarity.Compute(local, cfg.Theta, simOpts)
-	default:
-		nb = similarity.ComputeIndexed(local, cfg.Theta, simOpts)
+	} else {
+		nb = similarity.ComputeIndexed(local, cfg.Theta, similarity.Options{Measure: cfg.Measure, IncludeSelf: cfg.IncludeSelf, Workers: cfg.Workers})
 	}
 	res.Stats.AvgNeighbors, res.Stats.MaxNeighbors, _ = nb.Stats()
 	res.Stats.addLSH(nb.LSH)
@@ -240,9 +242,8 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 
 	// Phase 6: label the rest of the dataset (and, with LabelOutliers,
 	// the sample's pruned/weeded points) against cluster subsets, on the
-	// inverted-index labeler sharded across cfg.Workers (pairwise
-	// fallback for custom measures; assignments byte-identical to the
-	// serial pairwise reference either way).
+	// indexed labeler sharded across cfg.Workers (assignments
+	// byte-identical to the serial pairwise reference).
 	var candidates []int
 	if sampled {
 		inSample := make([]bool, n)

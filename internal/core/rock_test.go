@@ -2,6 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
@@ -219,6 +222,89 @@ func TestClusterValidation(t *testing.T) {
 		if _, err := Cluster(ts, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestEntryPointsRejectMalformedTransactions: every clustering entry
+// point, and FreezeSets, refuses a transaction that holds a negative item
+// or is out of order, naming it, instead of panicking or clustering it.
+func TestEntryPointsRejectMalformedTransactions(t *testing.T) {
+	cfg := Config{Theta: 0.3, K: 1}
+	lsh := Config{Theta: 0.3, K: 1, LSHNeighbors: true}
+	entries := []struct {
+		name string
+		run  func([]dataset.Transaction) error
+	}{
+		{"Cluster", func(ts []dataset.Transaction) error { _, err := Cluster(ts, cfg); return err }},
+		{"Cluster/LSH", func(ts []dataset.Transaction) error { _, err := Cluster(ts, lsh); return err }},
+		{"ClusterSeeded", func(ts []dataset.Transaction) error { _, err := ClusterSeeded(ts, [][]int{{0, 1}}, cfg); return err }},
+		{"ChunkedCluster", func(ts []dataset.Transaction) error {
+			_, err := ChunkedCluster(ts, ChunkedConfig{Base: cfg, ChunkSize: 2})
+			return err
+		}},
+		{"QRock", func(ts []dataset.Transaction) error { _, err := QRock(ts, QRockConfig{Theta: 0.3}); return err }},
+		{"QRock/LSH", func(ts []dataset.Transaction) error {
+			_, err := QRock(ts, QRockConfig{Theta: 0.3, LSHNeighbors: true})
+			return err
+		}},
+		{"FreezeSets", func(ts []dataset.Transaction) error {
+			_, err := FreezeSets(ts, [][]int{{0, 1}, {2, 3}}, nil, 0.3, 0.5, nil)
+			return err
+		}},
+	}
+	for _, bad := range []dataset.Transaction{{-1, 2, 3}, {3, 1, 2}} {
+		ts := []dataset.Transaction{{1, 2, 3}, {2, 3, 4}, bad, {1, 2, 4}}
+		for _, e := range entries {
+			if err := e.run(ts); err == nil || !strings.Contains(err.Error(), "transaction 2:") {
+				t.Errorf("%s on %v: err = %v, want one naming transaction 2", e.name, bad, err)
+			}
+		}
+	}
+}
+
+// TestCustomMeasureThroughPipeline: simple matching over a 6-item
+// universe is positive on disjoint transactions, so the neighbor phase
+// must evaluate it pairwise. Every point but {3,4} then lies within θ of
+// another, 16 directed edges in all.
+func TestCustomMeasureThroughPipeline(t *testing.T) {
+	simpleMatching := func(a, b dataset.Transaction) float64 {
+		return float64(6-len(a)-len(b)+2*a.IntersectSize(b)) / 6
+	}
+	ts := []dataset.Transaction{{0}, {1}, {2}, {0, 1}, {3, 4}, {5}}
+	want := []int{0, 0, 0, 0, 1, 0}
+	res, err := Cluster(ts, Config{Theta: 0.6, K: 1, Measure: simpleMatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.AvgNeighbors != 16.0/6 || !reflect.DeepEqual(res.Assign, want) {
+		t.Errorf("Cluster: m_a %.2f, Assign %v; want m_a 2.67, Assign %v", res.Stats.AvgNeighbors, res.Assign, want)
+	}
+	q, err := QRock(ts, QRockConfig{Theta: 0.6, Measure: simpleMatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Stats.AvgNeighbors != 16.0/6 || !reflect.DeepEqual(q.Assign, want) {
+		t.Errorf("QRock: m_a %.2f, Assign %v; want m_a 2.67, Assign %v", q.Stats.AvgNeighbors, q.Assign, want)
+	}
+}
+
+// TestClusterSparseItemIDsAllocation: one huge item id must not size the
+// neighbor index by the largest id; a dense postings array here would
+// take 384 MiB.
+func TestClusterSparseItemIDsAllocation(t *testing.T) {
+	ts := []dataset.Transaction{{1, 2, 1 << 24}, {1, 2, 3}, {1, 2, 4}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Cluster(ts, Config{Theta: 0.5, K: 1, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Cluster allocated %d bytes for 3 transactions", alloc)
+	}
+	if res.Stats.AvgNeighbors != 2 {
+		t.Fatalf("m_a = %g, want 2: every pair shares items 1 and 2", res.Stats.AvgNeighbors)
 	}
 }
 

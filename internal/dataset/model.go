@@ -10,6 +10,7 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -133,14 +134,37 @@ func (d *Dataset) Validate() error {
 	if d.Vocab != nil {
 		limit = Item(d.Vocab.Len())
 	}
-	for i, t := range d.Trans {
-		if !t.Valid() {
-			return fmt.Errorf("dataset: transaction %d is not canonical", i)
-		}
-		for _, it := range t {
-			if it < 0 || (limit >= 0 && it >= limit) {
-				return fmt.Errorf("dataset: transaction %d has out-of-vocabulary item %d", i, it)
-			}
+	if err := CheckTransactions(d.Trans, limit); err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	return nil
+}
+
+// Check returns nil when t is canonical (strictly ascending) and every
+// item lies in [0, limit), and otherwise an error saying which rule t
+// breaks. A negative limit leaves the range open above.
+func (t Transaction) Check(limit Item) error {
+	switch {
+	case !t.Valid():
+		return errors.New("items not strictly ascending")
+	case len(t) == 0:
+		return nil
+	case t[0] < 0:
+		return fmt.Errorf("negative item %d", t[0])
+	case limit >= 0 && t[len(t)-1] >= limit:
+		return fmt.Errorf("out-of-vocabulary item %d", t[len(t)-1])
+	}
+	return nil
+}
+
+// CheckTransactions applies Check to each transaction and names the first
+// that fails. Dataset.Validate calls it with the vocabulary size; the
+// clustering entry points call it with no limit, so a malformed input
+// fails with an error before any phase indexes by item id.
+func CheckTransactions(ts []Transaction, limit Item) error {
+	for i, t := range ts {
+		if err := t.Check(limit); err != nil {
+			return fmt.Errorf("transaction %d: %w", i, err)
 		}
 	}
 	return nil

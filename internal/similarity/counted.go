@@ -53,10 +53,10 @@ func countedOverlap(inter, la, lb int) float64 {
 
 // Counted returns the counted form of m when m is one of the package's
 // built-in measures (nil selects Jaccard, matching Options.Measure), and
-// nil for any other function. A nil return means the caller must evaluate
-// the measure pairwise: a custom Measure may depend on the transactions'
-// contents beyond the three counts, or be positive on disjoint pairs,
-// and no index path can be exact for it.
+// nil for any other function. A nil return is what makes an Index query
+// pairwise: a custom Measure may depend on the transactions' contents
+// beyond the three counts, or be positive on disjoint pairs, and no
+// postings scan can be exact for it.
 //
 // Identification compares function code pointers, so only the package's
 // own top-level functions match; closures such as Attribute(n) never do.

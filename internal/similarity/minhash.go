@@ -64,9 +64,9 @@ type LSHOptions struct {
 }
 
 // DefaultRecallSample is the number of rows sampled for the recall
-// estimate when LSHOptions.RecallSample is zero. The estimate reuses an
-// inverted item index for the built-in measures, so its cost is a few
-// posting-list scans — negligible next to the pipeline itself.
+// estimate when LSHOptions.RecallSample is zero. The estimate queries an
+// Index, which scans item postings for the built-in measures, so its cost
+// is a few posting-list scans — negligible next to the pipeline itself.
 const DefaultRecallSample = 64
 
 // withDefaults resolves the banding parameters. The rule: Bands is
@@ -454,16 +454,15 @@ func ComputeLSH(ts []dataset.Transaction, theta float64, opts LSHOptions) *Neigh
 		}
 	}
 
-	lshSampledRecall(ts, theta, opts, cm, sim, nb, rng)
+	lshSampledRecall(ts, theta, opts, nb, rng)
 	return nb
 }
 
 // lshSampledRecall estimates edge recall on a deterministic sample of
-// rows: each sampled row's exact θ-neighbors are recomputed (through an
-// inverted item index for the built-in measures with θ > 0, by a brute
-// scan otherwise) and checked against the approximate lists. The rng
-// continues the hash-family stream, so the sample depends only on Seed.
-func lshSampledRecall(ts []dataset.Transaction, theta float64, opts LSHOptions, cm CountedMeasure, sim Measure, nb *Neighbors, rng *rand.Rand) {
+// rows: each sampled row's exact θ-neighbors come from an Index query and
+// are checked against the approximate lists. The rng continues the
+// hash-family stream, so the sample depends only on Seed.
+func lshSampledRecall(ts []dataset.Transaction, theta float64, opts LSHOptions, nb *Neighbors, rng *rand.Rand) {
 	if opts.RecallSample < 0 {
 		return
 	}
@@ -478,71 +477,24 @@ func lshSampledRecall(ts []dataset.Transaction, theta float64, opts LSHOptions, 
 	sample := rng.Perm(n)[:size]
 	nb.LSH.RecallSampled = size
 
-	indexed := cm != nil && theta > 0
-	var postings [][]int32
-	if indexed {
-		var nitems int
-		for _, t := range ts {
-			for _, it := range t {
-				if int(it) >= nitems {
-					nitems = int(it) + 1
-				}
-			}
-		}
-		postings = make([][]int32, nitems)
-		for i, t := range ts {
-			for _, it := range t {
-				postings[it] = append(postings[it], int32(i))
-			}
-		}
-	}
-
+	ix := NewIndex(ts, theta, opts.Measure)
 	var mu sync.Mutex
 	var exactTotal, hitTotal int64
 	chunkwork.Run(size, opts.workers(), 4, func(next func() (int, int, bool)) {
-		var counts []int32
-		var touched []int32
-		if indexed {
-			counts = make([]int32, n)
-			touched = make([]int32, 0, 1024)
-		}
+		sc := ix.NewScratch()
+		var row []int32
 		var exact, hit int64
-		check := func(i int, j int32) {
-			exact++
-			if nb.Contains(i, j) {
-				hit++
-			}
-		}
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for s := lo; s < hi; s++ {
 				i := sample[s]
-				if indexed {
-					for _, it := range ts[i] {
-						for _, j := range postings[it] {
-							if int(j) == i {
-								continue
-							}
-							if counts[j] == 0 {
-								touched = append(touched, j)
-							}
-							counts[j]++
-						}
-					}
-					for _, j := range touched {
-						if cm(int(counts[j]), len(ts[i]), len(ts[j])) >= theta {
-							check(i, j)
-						}
-						counts[j] = 0
-					}
-					touched = touched[:0]
-					continue
-				}
-				for j := 0; j < n; j++ {
-					if j == i {
+				row = ix.Query(ts[i], sc, row[:0])
+				for _, j := range row {
+					if int(j) == i {
 						continue
 					}
-					if sim(ts[i], ts[j]) >= theta {
-						check(i, int32(j))
+					exact++
+					if nb.Contains(i, j) {
+						hit++
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/rockclust/rock/internal/chunkwork"
@@ -102,79 +103,27 @@ func Compute(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
 	return nb
 }
 
-// ComputeIndexed builds neighbor lists through an inverted index over
-// items: only pairs sharing at least one item are examined, which is exact
-// for the intersection-based measures in this package whenever θ > 0
-// (pairs with empty intersection have similarity 0 < θ). For θ ≤ 0 or a
-// custom Measure that can be positive on disjoint transactions, use
-// Compute.
-//
-// The index yields intersection sizes directly, so each candidate pair
-// costs O(1) on top of the posting-list scan.
+// ComputeIndexed builds the same neighbor lists as Compute by querying an
+// Index over ts with every row, so it is exact for every measure and
+// every θ. For a built-in measure at θ > 0 the index examines only pairs
+// that share an item, at O(1) each through the counted form; a custom
+// measure, or θ ≤ 0, evaluates every pair as Compute does.
 func ComputeIndexed(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
-	n := len(ts)
-	if theta <= 0 {
-		return Compute(ts, theta, opts)
-	}
-	sim := opts.measure()
-
-	// Build postings: item -> ascending ids of transactions holding it.
-	var nitems int
-	for _, t := range ts {
-		for _, it := range t {
-			if int(it) >= nitems {
-				nitems = int(it) + 1
-			}
-		}
-	}
-	postings := make([][]int32, nitems)
-	for i, t := range ts {
-		for _, it := range t {
-			postings[it] = append(postings[it], int32(i))
-		}
-	}
-
-	// With a built-in measure the similarity follows directly from the
-	// accumulated intersection count — O(1) per candidate, bit-identical
-	// to the pairwise evaluation because both share one counted form. A
-	// custom Measure falls back to re-evaluating on the candidate pair.
-	cm := Counted(opts.Measure)
-
-	nb := &Neighbors{Lists: make([][]int32, n)}
-	chunkwork.Run(n, opts.workers(), 64, func(next func() (int, int, bool)) {
-		counts := make([]int32, n) // per-worker scratch
-		touched := make([]int32, 0, 256)
+	ix := NewIndex(ts, theta, opts.Measure)
+	nb := &Neighbors{Lists: make([][]int32, len(ts))}
+	chunkwork.Run(len(ts), opts.workers(), 64, func(next func() (int, int, bool)) {
+		sc := ix.NewScratch() // per-worker scratch
+		var row []int32
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for i := lo; i < hi; i++ {
-				// Accumulate |ts[i] ∩ ts[j]| for every j sharing an item.
-				for _, it := range ts[i] {
-					for _, j := range postings[it] {
-						if int(j) == i {
-							continue
-						}
-						if counts[j] == 0 {
-							touched = append(touched, j)
-						}
-						counts[j]++
-					}
+				row = ix.Query(ts[i], sc, row[:0])
+				if k := slices.Index(row, int32(i)); k >= 0 && !opts.IncludeSelf {
+					row = slices.Delete(row, k, k+1)
 				}
-				var l []int32
-				if opts.IncludeSelf && len(ts[i]) > 0 {
-					l = append(l, int32(i))
+				if len(row) > 0 {
+					slices.Sort(row)
+					nb.Lists[i] = slices.Clone(row)
 				}
-				for _, j := range touched {
-					if cm != nil {
-						if cm(int(counts[j]), len(ts[i]), len(ts[j])) >= theta {
-							l = append(l, j)
-						}
-					} else if sim(ts[i], ts[int(j)]) >= theta {
-						l = append(l, j)
-					}
-					counts[j] = 0
-				}
-				touched = touched[:0]
-				sort.Slice(l, func(a, b int) bool { return l[a] < l[b] })
-				nb.Lists[i] = l
 			}
 		}
 	})

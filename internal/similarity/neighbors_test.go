@@ -141,15 +141,19 @@ func TestNeighborSymmetry(t *testing.T) {
 }
 
 func TestCustomMeasureWithIndex(t *testing.T) {
-	// Overlap is intersection-based, so the index remains exact for θ > 0.
+	// Overlap is intersection-based, so the postings scan is exact for
+	// θ > 0; simple matching is positive on disjoint transactions, so the
+	// index must fall back to the pairwise scan.
 	r := rand.New(rand.NewSource(5))
 	ts := make([]dataset.Transaction, 60)
 	for i := range ts {
 		ts[i] = randTrans(r, 18, 7)
 	}
-	opts := Options{Measure: Overlap}
-	if !neighborsEqual(Compute(ts, 0.6, opts), ComputeIndexed(ts, 0.6, opts)) {
-		t.Fatal("indexed overlap differs from brute force")
+	for name, m := range map[string]Measure{"overlap": Overlap, "simple-matching": simpleMatching(18)} {
+		opts := Options{Measure: m}
+		if !neighborsEqual(Compute(ts, 0.6, opts), ComputeIndexed(ts, 0.6, opts)) {
+			t.Fatalf("indexed %s differs from brute force", name)
+		}
 	}
 }
 
