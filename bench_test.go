@@ -95,19 +95,6 @@ func BenchmarkNeighborsLSH(b *testing.B) {
 	}
 }
 
-func BenchmarkLinksSerial(b *testing.B) {
-	for _, n := range []int{1000, 2000} {
-		d := benchBasket(n)
-		nb := similarity.ComputeIndexed(d.Trans, 0.6, similarity.Options{})
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				linkage.FromNeighbors(nb)
-			}
-		})
-	}
-}
-
 func BenchmarkLinksParallel(b *testing.B) {
 	workerCounts := []int{1, 2, 4}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
@@ -127,65 +114,10 @@ func BenchmarkLinksParallel(b *testing.B) {
 	}
 }
 
-// benchLabelFixture builds the labeling workload shared with the
-// `rockbench -label` sweep: a strided sample of a basket dataset
-// clustered with full ROCK, deterministic L_i sets carved from the
-// clusters, and the remaining 4n/5 points as candidates (see
-// expt.LabelFixture).
-func benchLabelFixture(b *testing.B, n int) (ts []rock.Transaction, candidates []int, sets [][]int) {
-	b.Helper()
-	ts, candidates, sets, err := expt.LabelFixture(n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ts, candidates, sets
-}
-
-func BenchmarkLabelReference(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		ts, candidates, sets := benchLabelFixture(b, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.BenchLabelReference(ts, candidates, sets, 0.6, rock.MarketBasketF(0.6))
-			}
-		})
-	}
-}
-
-func BenchmarkLabelIndexed(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		ts, candidates, sets := benchLabelFixture(b, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.BenchLabelIndexed(ts, candidates, sets, 0.6, rock.MarketBasketF(0.6))
-			}
-		})
-	}
-}
-
-func BenchmarkLabelParallel(b *testing.B) {
-	workerCounts := []int{1, 2, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
-		workerCounts = append(workerCounts, g)
-	}
-	for _, n := range []int{2000, 10000} {
-		ts, candidates, sets := benchLabelFixture(b, n)
-		for _, w := range workerCounts {
-			b.Run(sizeName(n)+"/workers="+strconv.Itoa(w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.BenchLabelParallel(ts, candidates, sets, 0.6, rock.MarketBasketF(0.6), w)
-				}
-			})
-		}
-	}
-}
-
 // benchAssignFixture freezes a model from the labeling workload and
 // returns it with the out-of-sample points as queries — the serving
-// workload shared with the `rockbench -assign` sweep.
+// workload shared with the `rockbench -serve` sweep (see
+// expt.LabelFixture).
 func benchAssignFixture(b *testing.B, n int) (*rock.Model, []rock.Transaction) {
 	b.Helper()
 	ts, candidates, sets, err := expt.LabelFixture(n, 1)
@@ -201,18 +133,6 @@ func benchAssignFixture(b *testing.B, n int) (*rock.Model, []rock.Transaction) {
 		queries[i] = ts[p]
 	}
 	return m, queries
-}
-
-func BenchmarkAssignReference(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		m, queries := benchAssignFixture(b, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.BenchAssignReference(m, queries)
-			}
-		})
-	}
 }
 
 func BenchmarkAssign(b *testing.B) {

@@ -6,14 +6,14 @@
 //	rockbench              # everything, paper-scale
 //	rockbench -quick E6    # shrunken timing sweep
 //	rockbench -list
-//	rockbench -links       # serial-vs-parallel link sweep → BENCH_links.json
-//	rockbench -merge       # map-vs-arena agglomeration sweep → BENCH_merge.json
-//	rockbench -label       # pairwise-vs-indexed labeling sweep → BENCH_label.json
-//	rockbench -assign      # frozen-model serving sweep → BENCH_assign.json
 //	rockbench -serve       # HTTP serving sweep → BENCH_serve.json
 //	rockbench -neighbors   # exact-vs-LSH neighbor sweep → BENCH_neighbors.json
 //	rockbench -stream      # streaming ingestion sweep → BENCH_stream.json
 //	rockbench -zoo         # algorithm-zoo shootout → BENCH_zoo.json
+//
+// Per-phase timings of whole pipeline runs (θ-neighbors, links, merge,
+// labeling, model load and assign) come from the repository benchmark,
+// perfbench, run with --trace 1.
 package main
 
 import (
@@ -27,19 +27,15 @@ import (
 
 func main() {
 	var (
-		quick  = flag.Bool("quick", false, "shrink dataset sizes and sweeps")
-		seed   = flag.Int64("seed", 0, "base seed for all generators")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		out    = flag.String("out", "", "write reports to this file instead of stdout")
-		links  = flag.Bool("links", false, "run the serial-vs-parallel link builder sweep and write BENCH_links.json (or -out)")
-		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (map reference vs arena, sparse basket and dense labeled shapes) and write BENCH_merge.json (or -out)")
-		label  = flag.Bool("label", false, "run the labeling sweep (pairwise reference vs indexed vs sharded) and write BENCH_label.json (or -out)")
-		assign = flag.Bool("assign", false, "run the frozen-model serving sweep (pairwise reference vs Model.Assign/AssignBatch + save/load cost) and write BENCH_assign.json (or -out)")
-		srv    = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
-		nbrs   = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs prototype LSH vs sort-based LSH pipeline) and write BENCH_neighbors.json (or -out)")
-		strm   = flag.Bool("stream", false, "run the streaming-ingestion sweep (sustained ingest through a regime change with background refresh) and write BENCH_stream.json (or -out)")
-		zoos   = flag.Bool("zoo", false, "run the algorithm-zoo shootout (every registered engine vs ROCK on the labeled/votes/mushroom workloads) and write BENCH_zoo.json (or -out)")
-		long   = flag.Bool("long", false, "with -neighbors: add the million-point rows (10⁶ LSH neighbor run + chunked clustering end-to-end); minutes of runtime")
+		quick = flag.Bool("quick", false, "shrink dataset sizes and sweeps")
+		seed  = flag.Int64("seed", 0, "base seed for all generators")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		out   = flag.String("out", "", "write reports to this file instead of stdout")
+		srv   = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
+		nbrs  = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs prototype LSH vs sort-based LSH pipeline) and write BENCH_neighbors.json (or -out)")
+		strm  = flag.Bool("stream", false, "run the streaming-ingestion sweep (sustained ingest through a regime change with background refresh) and write BENCH_stream.json (or -out)")
+		zoos  = flag.Bool("zoo", false, "run the algorithm-zoo shootout (every registered engine vs ROCK on the labeled/votes/mushroom workloads) and write BENCH_zoo.json (or -out)")
+		long  = flag.Bool("long", false, "with -neighbors: add the million-point rows (10⁶ LSH neighbor run + chunked clustering end-to-end); minutes of runtime")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -52,22 +48,6 @@ func main() {
 	}
 
 	sweepOpts := expt.Options{Quick: *quick, Seed: *seed, Long: *long}
-	if *links {
-		runSweep(*out, "BENCH_links.json", sweepOpts, expt.BenchLinks)
-		return
-	}
-	if *merge {
-		runSweep(*out, "BENCH_merge.json", sweepOpts, expt.BenchMerge)
-		return
-	}
-	if *label {
-		runSweep(*out, "BENCH_label.json", sweepOpts, expt.BenchLabel)
-		return
-	}
-	if *assign {
-		runSweep(*out, "BENCH_assign.json", sweepOpts, expt.BenchAssign)
-		return
-	}
 	if *srv {
 		runSweep(*out, "BENCH_serve.json", sweepOpts, expt.BenchServe)
 		return
@@ -120,15 +100,6 @@ Regenerates the tables and figures of the paper's evaluation (E1..E8) and
 the repo's ablations (A1..A6) on the synthetic stand-in datasets, plus
 the performance-trajectory records — one bench mode per record:
 
-  -links   serial-vs-parallel link builder sweep   → BENCH_links.json
-  -merge   agglomeration engine sweep              → BENCH_merge.json
-           (map reference vs the serial arena engine, on sparse
-           basket rows and the dense planted-label shape)
-  -label   labeling-phase sweep                    → BENCH_label.json
-           (pairwise reference vs inverted-index vs sharded workers)
-  -assign  frozen-model serving sweep              → BENCH_assign.json
-           (pairwise reference vs Model.Assign/AssignBatch, plus the
-           model file's size and save/load cost)
   -serve   HTTP serving sweep                      → BENCH_serve.json
            (concurrent clients against an in-process rockserve stack:
            client-side p50/p95/p99 latency, throughput, and batching
@@ -154,6 +125,9 @@ the performance-trajectory records — one bench mode per record:
            per Fit, on the labeled, votes and mushroom workloads)
 
 With no flags and no ids, every experiment runs at paper scale to stdout.
+Per-phase timings of whole pipeline runs (θ-neighbors, links, merge,
+labeling, model load and assign) come from the repository benchmark:
+bash perfbench/run.sh --workload <name> --trace 1 (see perfbench/README.md).
 
 Flags:
   -quick   shrink dataset sizes and sweeps (recorded in the JSON)
@@ -162,12 +136,12 @@ Flags:
   -list    list experiment ids and exit
   -out F   write reports (or the named sweep) to F instead of the default
 
-Caveat for the BENCH_*.json sweeps: parallel speedups are only visible
-when GOMAXPROCS exceeds one. On a single-CPU host the worker goroutines
-serialize, so the recorded "parallel" columns show only the algorithmic
-differences (array counting vs map inserts for links; inverted-index
-counting vs pairwise similarity for labeling and model serving). Regenerate on a multi-core host to capture
-the scaling curve; the current GOMAXPROCS is recorded in each file.
+Caveat for the BENCH_*.json sweeps: each file records the GOMAXPROCS
+and the CPU count it was measured at, and -serve, -stream and -zoo also
+record the host. The workers axes of
+-serve and -stream only differentiate when GOMAXPROCS exceeds one; at
+GOMAXPROCS=1 the worker goroutines serialize and latencies include
+queueing on the one CPU.
 `)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/rockclust/rock/internal/similarity"
 )
@@ -87,11 +88,6 @@ type Config struct {
 	// paper discards them; this is an extension.
 	LabelOutliers bool
 
-	// labelReference forces the labeling phase onto the serial pairwise
-	// reference loop (labelPoint). Unexported: reachable only from this
-	// package's oracle tests, which prove the indexed/parallel labeler
-	// byte-identical to it through the full pipeline.
-	labelReference bool
 	// labelSerialBelow overrides the labeling phase's serial crossover: 0
 	// picks labelSerialCutoff, negative always shards. Unexported, like
 	// Model.batchSerialBelow: the oracle tests force the sharded path
@@ -119,10 +115,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. Each float field
+// is checked for NaN explicitly, because a NaN fails no range
+// comparison, and f(θ) must be finite.
 func (c Config) Validate() error {
-	if c.Theta < 0 || c.Theta > 1 {
-		return fmt.Errorf("core: theta %g outside [0,1]", c.Theta)
+	if err := checkThetaF(c.Theta, c.withDefaults().fval()); err != nil {
+		return err
 	}
 	if c.K < 1 {
 		return fmt.Errorf("core: k = %d, need at least 1", c.K)
@@ -130,11 +128,26 @@ func (c Config) Validate() error {
 	if c.SampleSize < 0 {
 		return fmt.Errorf("core: negative sample size %d", c.SampleSize)
 	}
-	if c.WeedAt < 0 || c.WeedAt > 1 {
+	if math.IsNaN(c.WeedAt) || c.WeedAt < 0 || c.WeedAt > 1 {
 		return fmt.Errorf("core: weed-at fraction %g outside [0,1]", c.WeedAt)
+	}
+	if math.IsNaN(c.LabelFraction) {
+		return fmt.Errorf("core: label fraction is NaN")
 	}
 	if c.MinNeighbors < 0 {
 		return fmt.Errorf("core: negative min-neighbors %d", c.MinNeighbors)
+	}
+	return nil
+}
+
+// checkThetaF reports whether θ lies in [0,1] and the exponent f is
+// finite. Config.Validate and FreezeSets share it.
+func checkThetaF(theta, f float64) error {
+	if math.IsNaN(theta) || theta < 0 || theta > 1 {
+		return fmt.Errorf("core: theta %g outside [0,1]", theta)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("core: exponent f %g is not finite", f)
 	}
 	return nil
 }

@@ -535,9 +535,9 @@ func lowerBound(row []linkEntry, slot int32) int {
 }
 
 // BenchAgglomerateArena runs the production arena engine over a prebuilt
-// CSR link table, exported for the `rockbench -merge` sweep
-// (internal/expt); it is the same arena, merge loop and built-in goodness
-// the pipeline runs with a nil Config.Goodness.
+// CSR link table, exported for perfbench, whose --trace 1 run times it
+// as the core.merge span; it is the same arena, merge loop and built-in
+// goodness the pipeline runs with a nil Config.Goodness.
 func BenchAgglomerateArena(n int, lt *linkage.Compact, k int, f float64) (clusters, merges int) {
 	res := agglomerate(n, lt, k, nil, f, 0, 0, false)
 	return len(res.clusters), res.merges

@@ -11,8 +11,8 @@ import (
 // map[int]*clus cluster storage, per-cluster link maps rebuilt on every
 // merge, one indexed heap per cluster plus a global heap — as the oracle
 // the arena engine (engine.go) is verified against, and as the "before"
-// side of BenchmarkAgglomerateMap and the `rockbench -merge` sweep. It is
-// not called by the production pipeline.
+// side of BenchmarkAgglomerateMap. It lives in test code only: the
+// production pipeline never calls it.
 
 // mapClus is one active cluster in the reference agglomeration: its
 // members (local point indices), its cross-link counts to every other
@@ -178,12 +178,4 @@ func updateGlobal(global *pqueue.Heap, x int, c *mapClus) {
 	} else {
 		global.Remove(x)
 	}
-}
-
-// BenchAgglomerateMap runs the reference engine over a prebuilt CSR link
-// table, exported for the `rockbench -merge` sweep (internal/expt); the
-// production pipeline never calls it.
-func BenchAgglomerateMap(n int, lt *linkage.Compact, k int, f float64) (clusters, merges int) {
-	res := agglomerateMap(n, lt, k, RockGoodness, f, 0, 0, false)
-	return len(res.clusters), res.merges
 }

@@ -1,15 +1,17 @@
 // Package core implements the ROCK clustering algorithm: the goodness
-// measure and criterion function, the agglomerative merge engines,
+// measure and criterion function, the agglomerative merge engine,
 // outlier handling, Chernoff-bound random sampling, the labeling phase for
 // out-of-sample points, and the QROCK connected-components variant.
 //
-// Two merge engines share one contract. engine_reference.go holds the
-// map-based reference (map[int]*clus, one indexed heap per cluster);
-// engine.go holds the arena engine the pipeline runs. Both produce
+// Each phase has one engine, and each engine's reference lives in this
+// package's tests as its oracle. engine.go holds the arena engine the
+// pipeline runs; engine_reference_test.go holds the map-based reference
+// (map[int]*clus, one indexed heap per cluster). Both produce
 // byte-identical results — clusters, weeded set, merge count, and the
 // full trace — which a randomized oracle test enforces configuration by
 // configuration, so the fast engine is a refactor of the slow one in the
-// strictest sense.
+// strictest sense. label_reference_test.go plays the same role for the
+// labeling phase and Model.Assign: the paper's serial pairwise loop.
 //
 // One pipeline (rock.go) serves Cluster and ClusterSeeded: the seeded
 // entry point only adds a seed, which exempts its points from pruning and

@@ -3,10 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
-
-	"github.com/rockclust/rock/internal/dataset"
-	"github.com/rockclust/rock/internal/similarity"
 )
+
+// The labeling phase (phase 6). labelSets below draws each cluster's
+// labeled subset L_i; the indexed labeler (label_indexed.go) scores every
+// candidate against the L_i through one similarity.Index, and
+// label_parallel.go shards the candidates across workers. That is the
+// only labeling path. The paper's serial pairwise loop lives in
+// label_reference_test.go as the oracle both are proven against.
 
 // labelSets draws the per-cluster labeling subsets L_i: a uniform random
 // LabelFraction of each cluster's members (at least one, at most
@@ -32,37 +36,4 @@ func labelSets(clusters [][]int, cfg Config, rng *rand.Rand) [][]int {
 		out[i] = li
 	}
 	return out
-}
-
-// labelPoint assigns one out-of-sample point to the cluster maximizing the
-// paper's labeling score N_i / (|L_i|+1)^f, where N_i is the number of
-// θ-neighbors of the point inside L_i. It returns -1 when the point has no
-// neighbor in any L_i (an outlier with respect to the discovered
-// clusters). Ties break toward the smaller cluster index, keeping the
-// phase deterministic.
-//
-// This is the reference implementation, kept as the oracle fixture (the
-// label-phase counterpart of engine_reference.go): the pipeline labels
-// through the indexed, sharded labeler in label_indexed.go /
-// label_parallel.go, and the oracle tests prove that path byte-identical
-// to a serial loop of labelPoint over the candidates.
-func labelPoint(t dataset.Transaction, ts []dataset.Transaction, sets [][]int, theta, f float64, sim similarity.Measure) int {
-	best := -1
-	bestScore := 0.0
-	for i, li := range sets {
-		n := 0
-		for _, q := range li {
-			if sim(t, ts[q]) >= theta {
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		score := float64(n) / math.Pow(float64(len(li)+1), f)
-		if best == -1 || score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
 }

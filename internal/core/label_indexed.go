@@ -9,8 +9,8 @@ import (
 
 // Indexed labeling.
 //
-// The reference labeler (labelPoint, kept in label.go as the oracle
-// fixture) evaluates the measure on every (candidate, labeled point)
+// The reference labeler (labelPoint, kept in label_reference_test.go as
+// the oracle) evaluates the measure on every (candidate, labeled point)
 // pair. The production labeler asks one similarity.Index, built over the
 // labeled points of every L_i flattened into one slice, for the
 // candidate's θ-neighbors and tallies them per set. The index answers
@@ -95,18 +95,4 @@ func (lb *labeler) label(t dataset.Transaction, sc *labelScratch) int {
 	}
 	sc.touchedSets = sc.touchedSets[:0]
 	return best
-}
-
-// labelCandidatesReference is the serial pairwise labeling loop — the
-// oracle fixture the indexed/parallel labeler is proven byte-identical
-// to, in the same role engine_reference.go plays for the merge phase.
-func labelCandidatesReference(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64, sim similarity.Measure) []int {
-	if sim == nil {
-		sim = similarity.Jaccard
-	}
-	out := make([]int, len(candidates))
-	for i, p := range candidates {
-		out[i] = labelPoint(ts[p], ts, sets, theta, f, sim)
-	}
-	return out
 }

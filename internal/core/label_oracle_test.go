@@ -100,11 +100,14 @@ func TestLabelOracleRandom(t *testing.T) {
 	}
 }
 
-// TestLabelOracleCluster proves the whole pipeline byte-identical when
-// labeling runs indexed/parallel vs the serial pairwise reference, across
-// randomized configs (θ, sample size, LabelFraction, MaxLabelPoints,
-// LabelOutliers, pruning, weeding, every measure) and worker counts
-// 1/2/4/8 — Assign, Clusters, Outliers, Stats, and serialized bytes.
+// TestLabelOracleCluster proves the pipeline's labeling phase
+// assignment-identical to the serial pairwise reference across randomized
+// configs (θ, sample size, LabelFraction, MaxLabelPoints, LabelOutliers,
+// pruning, weeding, every measure) and worker counts 1/2/4/8 on both
+// sides of the serial crossover. Each run's candidates are relabeled by
+// labelCandidatesReference over the run's own Result.LabelSets, and
+// Assign must agree on every one; every run of a config must also
+// serialize to the same bytes.
 func TestLabelOracleCluster(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 24; trial++ {
@@ -127,18 +130,9 @@ func TestLabelOracleCluster(t *testing.T) {
 		if trial%4 == 0 {
 			cfg.WeedAt = 0.1 + 0.4*r.Float64()
 		}
+		candidates := labelOracleCandidates(t, ts, cfg)
 
-		refCfg := cfg
-		refCfg.labelReference = true
-		ref, err := Cluster(ts, refCfg)
-		if err != nil {
-			t.Fatalf("trial %d: reference: %v", trial, err)
-		}
-		var refBuf bytes.Buffer
-		if err := WriteResult(&refBuf, ref); err != nil {
-			t.Fatalf("trial %d: serialize reference: %v", trial, err)
-		}
-
+		var first []byte
 		for _, workers := range labelWorkerCounts {
 			for _, serialBelow := range []int{0, -1} {
 				label := fmt.Sprintf("trial=%d measure=%s workers=%d serialBelow=%d", trial, m.name, workers, serialBelow)
@@ -149,28 +143,56 @@ func TestLabelOracleCluster(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if !reflect.DeepEqual(got.Assign, ref.Assign) {
-					t.Fatalf("%s: Assign diverges", label)
+				if got.Stats.LabelCandidates != len(candidates) {
+					t.Fatalf("%s: Stats.LabelCandidates = %d, want %d", label, got.Stats.LabelCandidates, len(candidates))
 				}
-				if !reflect.DeepEqual(got.Clusters, ref.Clusters) {
-					t.Fatalf("%s: Clusters diverge", label)
-				}
-				if !reflect.DeepEqual(got.Outliers, ref.Outliers) {
-					t.Fatalf("%s: Outliers diverge", label)
-				}
-				if got.Stats != ref.Stats {
-					t.Fatalf("%s: Stats diverge\ngot: %+v\nref: %+v", label, got.Stats, ref.Stats)
+				ref := labelCandidatesReference(ts, candidates, got.LabelSets, cfg.Theta, MarketBasketF(cfg.Theta), m.fn)
+				for i, p := range candidates {
+					if got.Assign[p] != ref[i] {
+						t.Fatalf("%s: candidate %d: Assign = %d, reference = %d", label, p, got.Assign[p], ref[i])
+					}
 				}
 				var buf bytes.Buffer
 				if err := WriteResult(&buf, got); err != nil {
 					t.Fatalf("%s: serialize: %v", label, err)
 				}
-				if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
-					t.Fatalf("%s: serialized bytes diverge from the reference labeler's", label)
+				if first == nil {
+					first = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), first) {
+					t.Fatalf("%s: serialized bytes diverge from workers=%d serialBelow=0", label, labelWorkerCounts[0])
 				}
 			}
 		}
 	}
+}
+
+// labelOracleCandidates lists, ascending, the points a run of cfg sends to
+// the labeling phase: every point outside the sample and, with
+// LabelOutliers, the sample points the engine left unclustered. Those are
+// read off a run of the same config with LabelOutliers off, which shares
+// the sample, the engine and the L_i draws.
+func labelOracleCandidates(t *testing.T, ts []dataset.Transaction, cfg Config) []int {
+	t.Helper()
+	off := cfg
+	off.LabelOutliers = false
+	base, err := Cluster(ts, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.SampleIdx == nil {
+		t.Fatal("the config drew no sample, so no point is a labeling candidate")
+	}
+	inSample := make([]bool, len(ts))
+	for _, p := range base.SampleIdx {
+		inSample[p] = true
+	}
+	var candidates []int
+	for p := range ts {
+		if !inSample[p] || (cfg.LabelOutliers && base.Assign[p] < 0) {
+			candidates = append(candidates, p)
+		}
+	}
+	return candidates
 }
 
 // TestLabelIndexedFallbackSelection pins the dispatch rule of the

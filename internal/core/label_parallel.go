@@ -16,7 +16,8 @@ import (
 // validation machinery needed.
 // Workers claim fixed-size chunks off an atomic cursor (the shared
 // chunkwork.Run loop), so a candidate with an expensive neighborhood
-// doesn't stall a whole static shard.
+// doesn't stall a whole static shard. The pipeline's labelCandidates and
+// Model.AssignBatch both run this loop over the same labeler.
 
 // labelSerialCutoff is the crossover for the labeling phase and
 // Model.AssignBatch: below this many queries the goroutine handoff costs
@@ -80,25 +81,5 @@ func (lb *labeler) runEach(n int, at func(int) dataset.Transaction, workers, ser
 // the sets and shards the candidates per the config. cfg must already
 // carry defaults.
 func labelCandidates(ts []dataset.Transaction, candidates []int, sets [][]int, cfg Config) []int {
-	if cfg.labelReference {
-		return labelCandidatesReference(ts, candidates, sets, cfg.Theta, cfg.fval(), cfg.Measure)
-	}
 	return newLabeler(ts, sets, cfg.Theta, cfg.fval(), cfg.Measure).run(candidates, cfg.Workers, cfg.labelSerialBelow)
-}
-
-// BenchLabelReference runs the serial pairwise reference labeler —
-// exported for the `rockbench -label` sweep and the Label benchmarks.
-func BenchLabelReference(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64) []int {
-	return labelCandidatesReference(ts, candidates, sets, theta, f, nil)
-}
-
-// BenchLabelIndexed runs the indexed labeler on the serial path.
-func BenchLabelIndexed(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64) []int {
-	return newLabeler(ts, sets, theta, f, nil).run(candidates, 1, 0)
-}
-
-// BenchLabelParallel runs the indexed labeler sharded across the given
-// worker count (forced past the serial crossover).
-func BenchLabelParallel(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64, workers int) []int {
-	return newLabeler(ts, sets, theta, f, nil).run(candidates, workers, -1)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -23,11 +22,11 @@ import (
 // rebuilds the similarity.Index over the labeled points.
 //
 // Invariant: Model.Assign is bit-identical to the serial pairwise
-// reference labelPoint over the frozen sets. The model reuses the very
-// labeler the pipeline's phase 6 runs, whose index is exact for every
-// measure and θ (see similarity.Index), and the model oracle test
-// enforces the identity across all four built-in measures and worker
-// counts under the race detector.
+// reference labelPoint over the frozen sets (label_reference_test.go).
+// The model reuses the very labeler the pipeline's phase 6 runs, whose
+// index is exact for every measure and θ (see similarity.Index), and the
+// model oracle test enforces the identity across all four built-in
+// measures and worker counts under the race detector.
 
 // Model is an immutable snapshot of a clustering run, queryable for
 // assignments. All methods are safe for concurrent use: the frozen index
@@ -125,11 +124,8 @@ func FreezeSets(ts []dataset.Transaction, sets [][]int, clusterSizes []int, thet
 	if name == "" {
 		return nil, fmt.Errorf("core: cannot freeze a model over a custom similarity measure")
 	}
-	if math.IsNaN(theta) || theta < 0 || theta > 1 {
-		return nil, fmt.Errorf("core: theta %g outside [0,1]", theta)
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("core: exponent f %g is not finite", f)
+	if err := checkThetaF(theta, f); err != nil {
+		return nil, err
 	}
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("core: cannot freeze a model with no clusters")
@@ -248,8 +244,9 @@ func (m *Model) String() string {
 // Assign returns the cluster index for one query transaction — the
 // cluster maximizing N_i / (|L_i|+1)^f over the frozen subsets, ties to
 // the smaller index, or -1 when the query has no θ-neighbor among the
-// labeled points. Bit-identical to labelPoint over the frozen sets, and
-// safe to call from any number of goroutines concurrently.
+// labeled points. Bit-identical to the pairwise reference loop over the
+// frozen sets, and safe to call from any number of goroutines
+// concurrently.
 //
 // The query must use the model's item id space; for a dataset read under
 // its own vocabulary, use AssignDataset.
@@ -329,34 +326,4 @@ func (m *Model) RemapDataset(d *dataset.Dataset) ([]dataset.Transaction, error) 
 		mapped[i] = dataset.NewTransaction(items...)
 	}
 	return mapped, nil
-}
-
-// assignReference is the oracle fixture for the model: a serial loop of
-// labelPoint over the frozen points and sets — the same reference the
-// pipeline's labeling phase is proven against. Unexported; reachable from
-// this package's tests and benchmarks via BenchAssignReference.
-func (m *Model) assignReference(ts []dataset.Transaction) []int {
-	out := make([]int, len(ts))
-	sim := similarity.ByName(m.measure)
-	for i, t := range ts {
-		out[i] = labelPoint(t, m.pts, m.sets, m.theta, m.fval, sim)
-	}
-	return out
-}
-
-// BenchAssignReference runs the serial pairwise reference assignment —
-// exported for the `rockbench -assign` sweep and the Assign benchmarks.
-func BenchAssignReference(m *Model, ts []dataset.Transaction) []int {
-	return m.assignReference(ts)
-}
-
-// denomEqual reports whether the model's frozen normalization matches a
-// freshly computed (|L_i|+1)^f table — a consistency probe used by tests.
-func (m *Model) denomEqual() bool {
-	for i, li := range m.sets {
-		if m.lb.denom[i] != math.Pow(float64(len(li)+1), m.fval) {
-			return false
-		}
-	}
-	return true
 }

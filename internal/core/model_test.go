@@ -615,7 +615,7 @@ func TestModelSparseItemIDs(t *testing.T) {
 		t.Fatal("sparse ids fell back to the pairwise path; the map index should serve them")
 	}
 	queries := ts[4:]
-	want := BenchAssignReference(m, queries)
+	want := m.assignReference(queries)
 	if got := m.AssignBatch(queries, 2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sparse postings disagree with the pairwise reference: %v vs %v", got, want)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -54,6 +55,9 @@ func TestQRockMinClusterSize(t *testing.T) {
 func TestQRockValidation(t *testing.T) {
 	if _, err := QRock(nil, QRockConfig{Theta: -1}); err == nil {
 		t.Fatal("invalid theta accepted")
+	}
+	if _, err := QRock(nil, QRockConfig{Theta: math.NaN()}); err == nil {
+		t.Fatal("NaN theta accepted")
 	}
 	res, err := QRock(nil, QRockConfig{Theta: 0.5})
 	if err != nil || res.K() != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -217,6 +218,12 @@ func TestClusterValidation(t *testing.T) {
 		{Theta: 0.5, K: 2, SampleSize: -1},
 		{Theta: 0.5, K: 2, WeedAt: 2},
 		{Theta: 0.5, K: 2, MinNeighbors: -3},
+		// NaN fails every range test, so each needs its own rejection.
+		{Theta: math.NaN(), K: 2},
+		{Theta: 0.5, K: 2, WeedAt: math.NaN()},
+		{Theta: 0.5, K: 2, LabelFraction: math.NaN()},
+		{Theta: 0.5, K: 2, F: func(float64) float64 { return math.NaN() }},
+		{Theta: 0.5, K: 2, F: ConstantF(math.Inf(1))},
 	}
 	for i, cfg := range bad {
 		if _, err := Cluster(ts, cfg); err == nil {

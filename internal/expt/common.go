@@ -125,6 +125,17 @@ func timeIt(f func()) float64 {
 	return time.Since(start).Seconds()
 }
 
+// bestOf returns the fastest of k timed runs of f, in seconds.
+func bestOf(k int, f func()) float64 {
+	best := 0.0
+	for i := 0; i < k; i++ {
+		if s := timeIt(f); i == 0 || s < best {
+			best = s
+		}
+	}
+	return best
+}
+
 // subsetPrefix takes the first n records of a dataset (generators
 // interleave classes, so prefixes are representative).
 func subsetPrefix(d *dataset.Dataset, n int) *dataset.Dataset {

@@ -211,27 +211,49 @@ func TestBenchNeighborsQuick(t *testing.T) {
 	}
 }
 
-// TestBenchMergeQuick: the merge sweep covers sparse and dense link
-// rows, each row records its shape, and both engines agree and are timed.
-func TestBenchMergeQuick(t *testing.T) {
+// TestBenchServeStreamQuick: the serving and streaming sweeps record the
+// host they ran on, and no stream setting loses a parked outlier.
+func TestBenchServeStreamQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := BenchMerge(&buf, Options{Quick: true}); err != nil {
+	if err := BenchServe(&buf, Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	var rep MergeBenchReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+	var srv ServeBenchReport
+	if err := json.Unmarshal(buf.Bytes(), &srv); err != nil {
 		t.Fatal(err)
 	}
-	shapes := map[string]int{}
-	for _, row := range rep.Rows {
-		shapes[row.Shape]++
-		if row.Merges < 1 || row.MapSec <= 0 || row.ArenaSec <= 0 {
-			t.Fatalf("implausible row %+v", row)
+	if host := reportHost(t, buf.Bytes()); !srv.Quick || host == "" || len(srv.Rows) != 4 {
+		t.Fatalf("unexpected serve report shape: quick=%v host=%q rows=%d", srv.Quick, host, len(srv.Rows))
+	}
+
+	buf.Reset()
+	if err := BenchStream(&buf, Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	var strm StreamBenchReport
+	if err := json.Unmarshal(buf.Bytes(), &strm); err != nil {
+		t.Fatal(err)
+	}
+	if host := reportHost(t, buf.Bytes()); !strm.Quick || host == "" || len(strm.Summaries) != 4 {
+		t.Fatalf("unexpected stream report shape: quick=%v host=%q summaries=%d", strm.Quick, host, len(strm.Summaries))
+	}
+	for _, s := range strm.Summaries {
+		if s.PointsLost != 0 {
+			t.Fatalf("workers=%d mode=%s: points_lost = %d, want 0", s.Workers, s.Mode, s.PointsLost)
 		}
 	}
-	if !rep.Quick || rep.Host == "" || shapes["basket"] != 2 || shapes["labeled"] != 1 {
-		t.Fatalf("unexpected report shape: quick=%v host=%q shapes=%v", rep.Quick, rep.Host, shapes)
+}
+
+// reportHost reads the "host" field of an encoded BENCH report.
+func reportHost(t *testing.T, report []byte) string {
+	t.Helper()
+	var h struct {
+		Host string `json:"host"`
 	}
+	if err := json.Unmarshal(report, &h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Host
 }
 
 func TestBenchZooQuick(t *testing.T) {

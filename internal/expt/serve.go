@@ -16,6 +16,7 @@ import (
 	"github.com/rockclust/rock/internal/core"
 	"github.com/rockclust/rock/internal/dataset"
 	"github.com/rockclust/rock/internal/serve"
+	"github.com/rockclust/rock/internal/synth"
 )
 
 // ServeBenchRow is one point of the HTTP serving sweep: a fresh rockserve
@@ -46,11 +47,60 @@ type ServeBenchRow struct {
 
 // ServeBenchReport is the BENCH_serve.json payload.
 type ServeBenchReport struct {
+	Host       string          `json:"host"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	NumCPU     int             `json:"numcpu"`
 	Quick      bool            `json:"quick"`
 	Rows       []ServeBenchRow `json:"rows"`
 	Notes      []string        `json:"notes"`
+}
+
+// labelFixtureTheta is the θ the labeling workload is built and served at.
+const labelFixtureTheta = 0.6
+
+// LabelFixture builds the labeling workload shared by the rockbench
+// -serve sweep and the root BenchmarkAssign* and BenchmarkModelSaveLoad
+// micro-benchmarks: a basket dataset of n transactions whose every 5th
+// transaction forms the sample (the generator orders by cluster
+// template, so a prefix would miss most clusters), clustered with full
+// ROCK at θ=0.6; L_i sets take every 4th member of each cluster capped
+// at 50 — the shape the default LabelFraction/MaxLabelPoints would draw
+// — mapped back to dataset-global indices; the remaining points are the
+// candidates.
+func LabelFixture(n int, seed int64) (ts []dataset.Transaction, candidates []int, sets [][]int, err error) {
+	k := 10
+	d := synth.Basket(synth.BasketConfig{
+		Transactions:    n,
+		Clusters:        k,
+		TemplateItems:   15,
+		TransactionSize: 12,
+		Seed:            seed + int64(n),
+	})
+	var sampleIdx []int
+	var sampleTrans []dataset.Transaction
+	for i := 0; i < n; i += 5 {
+		sampleIdx = append(sampleIdx, i)
+		sampleTrans = append(sampleTrans, d.Trans[i])
+	}
+	res, err := core.Cluster(sampleTrans, core.Config{Theta: labelFixtureTheta, K: k, Seed: seed + 1})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("expt: clustering the label fixture sample: %w", err)
+	}
+	sets = make([][]int, 0, len(res.Clusters))
+	for _, members := range res.Clusters {
+		var li []int
+		for i := 0; i < len(members) && len(li) < 50; i += 4 {
+			li = append(li, sampleIdx[members[i]])
+		}
+		sets = append(sets, li)
+	}
+	candidates = make([]int, 0, n-len(sampleIdx))
+	for p := 0; p < n; p++ {
+		if p%5 != 0 {
+			candidates = append(candidates, p)
+		}
+	}
+	return d.Trans, candidates, sets, nil
 }
 
 // BenchServe drives concurrent assignment load against an in-process
@@ -85,6 +135,7 @@ func BenchServe(w io.Writer, opts Options) error {
 	want := model.AssignBatch(pool, 1)
 
 	report := ServeBenchReport{
+		Host:       hostName(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      opts.Quick,

@@ -51,6 +51,7 @@ type StreamBenchSummary struct {
 
 // StreamBenchReport is the BENCH_stream.json payload.
 type StreamBenchReport struct {
+	Host       string               `json:"host"`
 	GOMAXPROCS int                  `json:"gomaxprocs"`
 	NumCPU     int                  `json:"numcpu"`
 	Quick      bool                 `json:"quick"`
@@ -113,6 +114,7 @@ func BenchStream(w io.Writer, opts Options) error {
 	const batchSize = 256
 
 	report := StreamBenchReport{
+		Host:       hostName(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      opts.Quick,

@@ -8,11 +8,13 @@
 // Invariants: every experiment is deterministic under Options.Seed (the
 // generators, sampling, and every engine are seed-driven); Options.Quick
 // shrinks sweep sizes without changing their shape and is recorded in
-// any emitted JSON. The two perf sweeps (BenchLinks → BENCH_links.json,
-// BenchMerge → BENCH_merge.json) re-verify that the competing
-// implementations agree on every row before recording timings, and
-// stamp the GOMAXPROCS they were measured at — parallel columns are
-// only meaningful when it exceeds one.
+// any emitted JSON. The four perf sweeps (BenchServe → BENCH_serve.json,
+// BenchNeighbors → BENCH_neighbors.json, BenchStream →
+// BENCH_stream.json, BenchZoo → BENCH_zoo.json) verify their outputs
+// before recording timings and stamp the GOMAXPROCS and CPU count they
+// were measured at; serve, stream and zoo also record the host. Per-phase
+// timings of whole pipeline runs belong to the repository benchmark,
+// perfbench, under --trace 1.
 package expt
 
 import (

@@ -11,7 +11,8 @@ import (
 // cache-friendly iteration, and is the representation the agglomeration
 // engine consumes — built directly by the sharded parallel builder
 // (FromNeighborsCSR, behind Build), or converted from a map-based Table
-// (CompactFrom) when tests and benches compare against the oracles.
+// (CompactFrom) when tests compare against the oracles or hand-build a
+// link table.
 type Compact struct {
 	// rowStart is int64 so the total-entry ceiling is the address space,
 	// not 2^31: at ~100k dense points the link table already brushes

@@ -17,9 +17,9 @@ type Options struct {
 
 // Build computes the link table of nb directly in CSR form — the
 // representation the agglomeration engine consumes — on the sharded
-// builder FromNeighborsCSR. It beats the map-based FromNeighbors even at
-// one worker, so it is the only runtime path; FromNeighbors remains the
-// oracle it is tested against.
+// builder FromNeighborsCSR, the only runtime path. The tests prove it
+// bit-identical to the paper's serial pair counting (FromNeighbors in
+// reference_test.go).
 func Build(nb *similarity.Neighbors, opts Options) *Compact {
 	return FromNeighborsCSR(nb, opts.Workers)
 }
@@ -28,12 +28,13 @@ func Build(nb *similarity.Neighbors, opts Options) *Compact {
 // counting, assembling a CSR Compact directly with no intermediate maps.
 //
 // The identity it exploits: link(i,j) = |{l : i ∈ N(l) ∧ j ∈ N(l)}|, the
-// pair-counting total of FromNeighbors regrouped by row. Each worker owns
+// paper's pair-counting total regrouped by row. Each worker owns
 // disjoint shards of contiguous rows; for row i it walks every list that
 // contains i (via a precomputed transpose of the neighbor lists, so the
 // result is exact even for asymmetric lists) and accumulates counts in a
-// dense scratch array — array increments instead of map inserts, which is
-// what makes this builder faster than FromNeighbors even at one worker.
+// dense scratch array — array increments instead of the map inserts of
+// the paper's serial loop, which is what makes this builder faster than
+// that loop even at one worker.
 // Per-shard outputs are concatenated in shard order, so the table is
 // deterministic and independent of the worker count. Total work is the
 // same O(Σ_l m_l²) as the serial algorithm, spread across workers.

@@ -2,10 +2,12 @@
 // engines.
 //
 // Heap is an eager indexed binary max-heap over integer keys: O(log n)
-// insert, pop, and — crucially for the reference engine, which keeps one
-// "local" heap per cluster and a "global" heap over clusters — O(log n)
-// update and removal of arbitrary keys. Ties in priority break toward
-// the smaller key, making heap-driven algorithms deterministic.
+// insert, pop, and — crucially for core's reference merge engine, which
+// keeps one "local" heap per cluster and a "global" heap over clusters —
+// O(log n) update and removal of arbitrary keys. Ties in priority break
+// toward the smaller key, making heap-driven algorithms deterministic.
+// No production path uses it: it serves the reference engine in core's
+// tests and is the oracle TestLazyMatchesEagerHeap checks Lazy against.
 //
 // Lazy is the version-stamped heap the arena engine uses. Its contract:
 // every key carries a version counter; Update bumps the version and
