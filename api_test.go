@@ -90,14 +90,17 @@ func TestPublicGoodnessAndCriterion(t *testing.T) {
 	if rock.ConstantF(0.2)(0.9) != 0.2 {
 		t.Fatal("ConstantF wrong")
 	}
-	if rock.RockGoodness(5, 2, 3, 0.3) <= 0 {
-		t.Fatal("RockGoodness should be positive")
+	if (rock.Config{}).Goodness != rock.GoodnessROCK {
+		t.Fatal("the zero Config must select GoodnessROCK")
 	}
-	if rock.LinkCountGoodness(5, 2, 3, 0.3) != 5 {
-		t.Fatal("LinkCountGoodness wrong")
+	d := rock.GenerateBasket(rock.BasketConfig{Transactions: 200, Clusters: 2, Seed: 3})
+	for _, g := range []rock.Goodness{rock.GoodnessROCK, rock.GoodnessLinkCount, rock.GoodnessLinksPerPair} {
+		if _, err := rock.Cluster(d.Trans, rock.Config{Theta: 0.4, K: 2, Goodness: g}); err != nil {
+			t.Fatalf("goodness %d: %v", g, err)
+		}
 	}
-	if rock.AverageLinkGoodness(6, 2, 3, 0.3) != 1 {
-		t.Fatal("AverageLinkGoodness wrong")
+	if _, err := rock.Cluster(d.Trans, rock.Config{Theta: 0.4, K: 2, Goodness: rock.GoodnessLinksPerPair + 1}); err == nil {
+		t.Fatal("a goodness outside the set was accepted")
 	}
 	links := func(i, j int) int { return 1 }
 	if got := rock.Criterion([][]int{{0, 1}}, links, 0.5); got <= 0 {

@@ -24,10 +24,13 @@
 // similarity reaches the threshold θ; link(p,q) counts their common
 // neighbors; clusters are merged greedily by the goodness measure
 // g(Ci,Cj) = link[Ci,Cj] / ((n_i+n_j)^(1+2f(θ)) − n_i^(1+2f(θ)) −
-// n_j^(1+2f(θ))) until K clusters remain or no cross links exist. For
-// datasets too large to cluster wholesale, set Config.SampleSize: a
-// uniform sample is clustered and the remaining points are assigned in a
-// labeling pass, exactly as the paper prescribes.
+// n_j^(1+2f(θ))) until K clusters remain or no cross links exist.
+// Config.Goodness selects that measure (GoodnessROCK, the zero value) or
+// one of the two ablations it is compared with, GoodnessLinkCount and
+// GoodnessLinksPerPair. For datasets too large to cluster wholesale, set
+// Config.SampleSize: a uniform sample is clustered and the remaining
+// points are assigned in a labeling pass, exactly as the paper
+// prescribes.
 //
 // # Performance
 //

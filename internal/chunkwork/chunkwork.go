@@ -1,7 +1,11 @@
 // Package chunkwork provides the chunked atomic-cursor work-claiming
 // loop shared by the pipeline's sharded phases: the labeling phase and
 // Model.AssignBatch (core), the neighbor computations and every stage of
-// the sort-based LSH pipeline (similarity).
+// the sort-based LSH pipeline (similarity). The link builder
+// (linkage.FromNeighborsCSR) keeps its own shard loop: moved onto Run,
+// its dense n=1000 link build measured 8–25% slower, and that loop's
+// speed depends on code layout, so it stays until the dense-links
+// rewrite replaces it (ROADMAP.md, "Dense links").
 //
 // The pattern: workers goroutines (the calling goroutine participates as
 // one of them, so a Run costs workers−1 spawns) repeatedly claim

@@ -19,11 +19,11 @@ type Config struct {
 	K int
 	// F maps θ to the exponent f(θ); nil selects MarketBasketF.
 	F FTheta
-	// Goodness scores candidate merges. nil selects the built-in
-	// RockGoodness, evaluated from a per-run table of s^(1+2f) over
-	// cluster sizes. A non-nil function — RockGoodness passed explicitly
-	// included — is called once per candidate: the same output, slower.
-	Goodness GoodnessFunc
+	// Goodness selects the merge score. The zero value, GoodnessROCK, is
+	// the paper's measure, evaluated from a per-run table of s^(1+2f)
+	// over cluster sizes; GoodnessLinkCount and GoodnessLinksPerPair are
+	// the ablations experiment A1 compares it with.
+	Goodness Goodness
 	// Measure is the similarity; nil selects Jaccard. The built-in
 	// measures find θ-neighbors through an inverted item index. A custom
 	// Measure, which may be positive on disjoint transactions, runs
@@ -60,13 +60,13 @@ type Config struct {
 	// clusters), clusters of size ≤ WeedMaxSize are discarded as
 	// outliers. Zero disables weeding.
 	WeedAt float64
-	// WeedMaxSize is the largest cluster size weeded; default 2.
+	// WeedMaxSize is the largest cluster size weeded; 0 selects 2.
 	WeedMaxSize int
 
-	// LabelFraction is the fraction of each cluster sampled into L_i for
-	// the labeling phase; default 0.25.
+	// LabelFraction, in [0,1], is the fraction of each cluster sampled
+	// into L_i for the labeling phase; 0 selects 0.25.
 	LabelFraction float64
-	// MaxLabelPoints caps |L_i| per cluster; default 50.
+	// MaxLabelPoints caps |L_i| per cluster; 0 selects 50.
 	MaxLabelPoints int
 
 	// Workers bounds parallelism in the neighbor, link, and labeling
@@ -106,10 +106,10 @@ func (c Config) withDefaults() Config {
 	if c.WeedAt > 0 && c.WeedMaxSize == 0 {
 		c.WeedMaxSize = 2
 	}
-	if c.LabelFraction <= 0 || c.LabelFraction > 1 {
+	if c.LabelFraction == 0 {
 		c.LabelFraction = 0.25
 	}
-	if c.MaxLabelPoints <= 0 {
+	if c.MaxLabelPoints == 0 {
 		c.MaxLabelPoints = 50
 	}
 	return c
@@ -131,11 +131,20 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.WeedAt) || c.WeedAt < 0 || c.WeedAt > 1 {
 		return fmt.Errorf("core: weed-at fraction %g outside [0,1]", c.WeedAt)
 	}
-	if math.IsNaN(c.LabelFraction) {
-		return fmt.Errorf("core: label fraction is NaN")
+	if c.WeedMaxSize < 0 {
+		return fmt.Errorf("core: negative weed max size %d", c.WeedMaxSize)
+	}
+	if math.IsNaN(c.LabelFraction) || c.LabelFraction < 0 || c.LabelFraction > 1 {
+		return fmt.Errorf("core: label fraction %g outside [0,1]", c.LabelFraction)
+	}
+	if c.MaxLabelPoints < 0 {
+		return fmt.Errorf("core: negative max label points %d", c.MaxLabelPoints)
 	}
 	if c.MinNeighbors < 0 {
 		return fmt.Errorf("core: negative min-neighbors %d", c.MinNeighbors)
+	}
+	if c.Goodness > GoodnessLinksPerPair {
+		return fmt.Errorf("core: unknown goodness %d", c.Goodness)
 	}
 	return nil
 }

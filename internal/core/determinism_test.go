@@ -184,35 +184,3 @@ func randomTransactionsCore(r *rand.Rand, n, maxItems, vocab int) []dataset.Tran
 	}
 	return ts
 }
-
-// CriterionCSR must agree exactly with the pairwise-probing Criterion on
-// the same table.
-func TestCriterionCSRMatchesCriterion(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
-		n := 5 + r.Intn(60)
-		lt := randomLinkTable(r, n)
-		// Random partition of a random subset of points into clusters.
-		k := 1 + r.Intn(5)
-		clusters := make([][]int, k)
-		for p := 0; p < n; p++ {
-			if r.Intn(4) == 0 {
-				continue // leave some points unclustered, as after pruning
-			}
-			ci := r.Intn(k)
-			clusters[ci] = append(clusters[ci], p)
-		}
-		var nonEmpty [][]int
-		for _, c := range clusters {
-			if len(c) > 0 {
-				nonEmpty = append(nonEmpty, c)
-			}
-		}
-		f := 0.1 + r.Float64()
-		got := CriterionCSR(nonEmpty, lt, f)
-		want := Criterion(nonEmpty, lt.Get, f)
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("trial %d: CriterionCSR=%g Criterion=%g", trial, got, want)
-		}
-	}
-}

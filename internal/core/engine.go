@@ -21,10 +21,10 @@ import (
 // indexed heap (pqueue.Lazy) over those bests. The bound keeps a merge's
 // best-partner repair O(1) per patched neighbor: a neighbor rescans its
 // row only when its best was consumed by the merge and the merged
-// product falls at or below the bound. The built-in goodness reads a
-// per-run power table instead of calling math.Pow (powTable). Output is
-// byte-identical to the reference (engine_reference.go); the oracle test
-// enforces it configuration by configuration.
+// product falls at or below the bound. GoodnessROCK reads a per-run
+// power table instead of calling math.Pow (powTable). Output is
+// byte-identical to the reference (engine_reference_test.go); the oracle
+// test enforces it configuration by configuration.
 
 // linkEntry is one cross-link in a cluster's adjacency row: the arena
 // slot of the linked cluster and the aggregated cross-link count. Rows
@@ -58,9 +58,8 @@ type engineResult struct {
 // each merge allocates the next id — because the paper's tie-breaks (and
 // the trace) are defined over those ids, not over storage slots.
 type arena struct {
-	good GoodnessFunc // nil selects the built-in goodness, read from pow
-	pow  powTable
-	f    float64
+	good Goodness
+	pow  powTable // GoodnessROCK's power table; nil for the other kinds
 
 	alive []bool
 	id    []int32 // slot -> logical cluster id
@@ -100,16 +99,17 @@ type arena struct {
 // If weedTrigger > 0, the first time the number of active clusters falls
 // to weedTrigger, clusters of size ≤ weedMaxSize are discarded as outliers
 // (the paper's device for isolating stray points that merge with nothing).
-// A nil good selects the built-in goodness (RockGoodness from a power
-// table).
-func agglomerate(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult {
+func agglomerate(n int, lt *linkage.Compact, k int, good Goodness, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult {
 	slotOf := make([]int32, n)
 	for i := range slotOf {
 		slotOf[i] = int32(i)
 	}
 	a, err := newArena(lt, slotOf, n, good, f)
 	if err != nil {
-		panic(err) // unreachable: singleton slots copy lt's int32 counts unchanged
+		// Singleton slots copy lt's int32 counts unchanged, so the only
+		// error left is a GoodnessROCK power table that overflows at n
+		// points; the pipeline returns it, this entry point panics.
+		panic(err)
 	}
 	return runAgglomeration(a, k, weedTrigger, weedMaxSize, trace)
 }
@@ -176,13 +176,12 @@ func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) eng
 // array; folding never adds entries, so lt.Entries() bounds it. With
 // singleton slots (slotOf the identity) the fold copies lt row by row.
 // The lazy heap is bulk-initialized in O(slots) from each slot's best
-// partner. A nil good selects the built-in goodness, whose power table
-// covers every size up to the point count. The only failure is a folded
-// count past int32, which singleton slots cannot produce.
-func newArena(lt *linkage.Compact, slotOf []int32, slots int, good GoodnessFunc, f float64) (*arena, error) {
+// partner. GoodnessROCK's power table covers every size up to the point
+// count. newArena fails on a folded count past int32, which singleton
+// slots cannot produce, and on a power table that overflows float64.
+func newArena(lt *linkage.Compact, slotOf []int32, slots int, good Goodness, f float64) (*arena, error) {
 	a := &arena{
 		good:    good,
-		f:       f,
 		alive:   make([]bool, slots),
 		id:      make([]int32, slots),
 		size:    make([]int32, slots),
@@ -196,8 +195,16 @@ func newArena(lt *linkage.Compact, slotOf []int32, slots int, good GoodnessFunc,
 		boundG:  make([]float64, slots),
 		boundID: make([]int32, slots),
 	}
-	if good == nil {
-		a.pow = newPowTable(len(slotOf), f)
+	if good == GoodnessROCK {
+		n := len(slotOf)
+		a.pow = newPowTable(n, f)
+		// An infinite pow[s] scores every merge past size s links/+Inf =
+		// 0, which the loop reads as "no links left", and two clusters
+		// both past s NaN. pow[n] bounds the table: it grows with s when
+		// 1+2f > 0 and stays at most 1 for s ≥ 1 otherwise.
+		if n > 0 && math.IsInf(a.pow[n], 1) {
+			return nil, fmt.Errorf("core: exponent 1+2f = %g overflows float64 for a cluster of n = %d points; use a smaller f(θ)", 1+2*f, n)
+		}
 	}
 	for s := range a.alive {
 		a.alive[s] = true
@@ -401,19 +408,22 @@ func (a *arena) collect(res *engineResult) {
 // pairGoodness evaluates the goodness of merging the clusters in slots x
 // and y over cnt cross links, passing sizes in the order the reference
 // engine used when it stored the pair: the more recently created cluster
-// (higher logical id) first. RockGoodness is symmetric in value but not
+// (higher logical id) first. GoodnessROCK is symmetric in value but not
 // in rounding — it subtracts the first size's power first — so the
-// convention is what keeps output byte-identical, for the built-in
-// goodness and for custom asymmetric ones alike.
+// convention is what keeps output byte-identical.
 func (a *arena) pairGoodness(x, y, cnt int32) float64 {
 	ni, nj := a.size[x], a.size[y]
 	if a.id[y] > a.id[x] {
 		ni, nj = nj, ni
 	}
-	if a.good == nil {
+	switch a.good {
+	case GoodnessROCK:
 		return a.pow.goodness(cnt, ni, nj)
+	case GoodnessLinkCount:
+		return float64(cnt)
+	default: // GoodnessLinksPerPair
+		return float64(cnt) / (float64(ni) * float64(nj))
 	}
-	return a.good(int(cnt), int(ni), int(nj), a.f)
 }
 
 // sortsBefore reports whether the entry (g, id) precedes (h, hid) in the
@@ -536,9 +546,9 @@ func lowerBound(row []linkEntry, slot int32) int {
 
 // BenchAgglomerateArena runs the production arena engine over a prebuilt
 // CSR link table, exported for perfbench, whose --trace 1 run times it
-// as the core.merge span; it is the same arena, merge loop and built-in
-// goodness the pipeline runs with a nil Config.Goodness.
+// as the core.merge span; it is the same arena, merge loop and power
+// table the pipeline runs with the default GoodnessROCK.
 func BenchAgglomerateArena(n int, lt *linkage.Compact, k int, f float64) (clusters, merges int) {
-	res := agglomerate(n, lt, k, nil, f, 0, 0, false)
+	res := agglomerate(n, lt, k, GoodnessROCK, f, 0, 0, false)
 	return len(res.clusters), res.merges
 }

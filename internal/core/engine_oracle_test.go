@@ -12,26 +12,20 @@ import (
 	"github.com/rockclust/rock/internal/synth"
 )
 
-// asymGoodness depends asymmetrically on the cluster sizes: it pins down
-// the arena engine's size-argument convention (more recently created
-// cluster first), which the symmetric built-ins cannot distinguish.
-func asymGoodness(links int, ni, nj int, f float64) float64 {
-	return float64(links) / (float64(ni) + 0.5*float64(nj) + f)
-}
-
-// checkEnginesAgree runs the arena engine and the map-based reference on
-// one configuration and fails on any divergence, field by field. A second
-// leg runs the arena on the built-in goodness (nil: the power table)
-// against the reference calling RockGoodness, whatever good is.
-func checkEnginesAgree(t *testing.T, label string, n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) {
+// checkEnginesAgree runs the arena engine on goodness kind good and the
+// map-based reference on the matching formula, on one configuration, and
+// fails on any divergence, field by field. For a kind other than
+// GoodnessROCK a second leg checks GoodnessROCK too. ROCK's formula
+// rounds differently with its sizes swapped, so that leg pins the
+// arena's size order (younger cluster first).
+func checkEnginesAgree(t *testing.T, label string, n int, lt *linkage.Compact, k int, good Goodness, f float64, weedTrigger, weedMaxSize int, trace bool) {
 	t.Helper()
-	ref := agglomerateMap(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
+	ref := agglomerateMap(n, lt, k, referenceGoodness[good], f, weedTrigger, weedMaxSize, trace)
 	arena := agglomerate(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
-	checkResultsEqual(t, label+" [arena]", &arena, &ref)
-
-	rockRef := agglomerateMap(n, lt, k, RockGoodness, f, weedTrigger, weedMaxSize, trace)
-	builtin := agglomerate(n, lt, k, nil, f, weedTrigger, weedMaxSize, trace)
-	checkResultsEqual(t, label+" [arena built-in]", &builtin, &rockRef)
+	checkResultsEqual(t, fmt.Sprintf("%s [arena, goodness %d]", label, good), &arena, &ref)
+	if good != GoodnessROCK {
+		checkEnginesAgree(t, label, n, lt, k, GoodnessROCK, f, weedTrigger, weedMaxSize, trace)
+	}
 }
 
 // checkResultsEqual fails on any field-level divergence between an
@@ -64,18 +58,9 @@ func checkResultsEqual(t *testing.T, label string, got, ref *engineResult) {
 
 // TestEngineOracleRandom proves the arena engine byte-identical to the
 // map-based reference across ≥50 seeded configurations varying n, the
-// link structure, k, f(θ), the goodness function (including an asymmetric
-// one), weeding, and tracing.
+// link structure, k, f(θ), the goodness kind (cycling all three),
+// weeding, and tracing.
 func TestEngineOracleRandom(t *testing.T) {
-	goodFuncs := []struct {
-		name string
-		fn   GoodnessFunc
-	}{
-		{"rock", RockGoodness},
-		{"linkcount", LinkCountGoodness},
-		{"avglink", AverageLinkGoodness},
-		{"asym", asymGoodness},
-	}
 	for seed := int64(0); seed < 64; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(120)
@@ -83,16 +68,17 @@ func TestEngineOracleRandom(t *testing.T) {
 		k := 1 + r.Intn(6)
 		theta := 0.05 + 0.9*r.Float64()
 		f := MarketBasketF(theta)
-		good := goodFuncs[int(seed)%len(goodFuncs)]
+		// seed/3, not seed: trace cycles with seed%3.
+		good := Goodness(int(seed/3) % len(referenceGoodness))
 		weedTrigger, weedMaxSize := 0, 0
 		if seed%2 == 1 {
 			weedTrigger = 1 + r.Intn(n)
 			weedMaxSize = 1 + r.Intn(3)
 		}
 		trace := seed%3 != 0
-		label := fmt.Sprintf("seed=%d n=%d k=%d good=%s weed=%d/%d trace=%v",
-			seed, n, k, good.name, weedTrigger, weedMaxSize, trace)
-		checkEnginesAgree(t, label, n, lt, k, good.fn, f, weedTrigger, weedMaxSize, trace)
+		label := fmt.Sprintf("seed=%d n=%d k=%d weed=%d/%d trace=%v",
+			seed, n, k, weedTrigger, weedMaxSize, trace)
+		checkEnginesAgree(t, label, n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
 	}
 }
 
@@ -127,8 +113,8 @@ func TestEngineOracleDense(t *testing.T) {
 		}
 		lt := linkage.CompactFrom(tb)
 		label := fmt.Sprintf("dense seed=%d n=%d groups=%d", seed, n, groups)
-		checkEnginesAgree(t, label, n, lt, groups, RockGoodness, 1.0/3.0, 0, 0, true)
-		checkEnginesAgree(t, label+" weed", n, lt, groups, RockGoodness, 1.0/3.0, n/2, 2, true)
+		checkEnginesAgree(t, label, n, lt, groups, GoodnessROCK, 1.0/3.0, 0, 0, true)
+		checkEnginesAgree(t, label+" weed", n, lt, groups, GoodnessROCK, 1.0/3.0, n/2, 2, true)
 	}
 }
 
@@ -136,7 +122,7 @@ func TestEngineOracleDense(t *testing.T) {
 // f = 0 and f = −0.5 (exponents 1 and 0), where the expected-link
 // denominator is zero or negative and the goodness falls back to the raw
 // link count: the fallback must agree between the power table and
-// RockGoodness, ties between equal counts included.
+// rockGoodness, ties between equal counts included.
 func TestEngineOracleDegenerateExponent(t *testing.T) {
 	for _, c := range []float64{0, -0.5} {
 		for seed := int64(0); seed < 16; seed++ {
@@ -151,7 +137,7 @@ func TestEngineOracleDegenerateExponent(t *testing.T) {
 				weedMaxSize = 1 + r.Intn(3)
 			}
 			label := fmt.Sprintf("f=%g seed=%d n=%d k=%d weed=%d/%d", f, seed, n, k, weedTrigger, weedMaxSize)
-			checkEnginesAgree(t, label, n, lt, k, RockGoodness, f, weedTrigger, weedMaxSize, true)
+			checkEnginesAgree(t, label, n, lt, k, GoodnessROCK, f, weedTrigger, weedMaxSize, true)
 		}
 	}
 }
@@ -176,9 +162,9 @@ func TestEngineOracleDenseLabels(t *testing.T) {
 		n := 300
 		lt := denseLabelsTable(n, seed)
 		label := fmt.Sprintf("dense-labels seed=%d n=%d", seed, n)
-		checkEnginesAgree(t, label, n, lt, 4, RockGoodness, f, 0, 0, false)
-		checkEnginesAgree(t, label+" trace", n, lt, 1, RockGoodness, f, 0, 0, true)
-		checkEnginesAgree(t, label+" weed+trace", n, lt, 4, RockGoodness, f, n/2, 2, true)
+		checkEnginesAgree(t, label, n, lt, 4, GoodnessROCK, f, 0, 0, false)
+		checkEnginesAgree(t, label+" trace", n, lt, 1, GoodnessROCK, f, 0, 0, true)
+		checkEnginesAgree(t, label+" weed+trace", n, lt, 4, GoodnessROCK, f, n/2, 2, true)
 	}
 }
 
@@ -201,7 +187,7 @@ func TestEngineOraclePipelineData(t *testing.T) {
 		nb := similarity.Compute(ts, theta, similarity.Options{})
 		lt := linkage.Build(nb, linkage.Options{})
 		label := fmt.Sprintf("pipeline trial=%d n=%d theta=%.2f", trial, n, theta)
-		checkEnginesAgree(t, label, n, lt, 1+r.Intn(4), RockGoodness, MarketBasketF(theta), 0, 0, true)
+		checkEnginesAgree(t, label, n, lt, 1+r.Intn(4), GoodnessROCK, MarketBasketF(theta), 0, 0, true)
 	}
 }
 
@@ -240,7 +226,7 @@ func TestEngineOracleParallelPipeline(t *testing.T) {
 		}
 		for _, cfg := range configs {
 			label := fmt.Sprintf("n=%d %s", n, cfg.name)
-			checkEnginesAgree(t, label, n, lt, k, RockGoodness, f, cfg.weedTrigger, cfg.weedMaxSize, cfg.trace)
+			checkEnginesAgree(t, label, n, lt, k, GoodnessROCK, f, cfg.weedTrigger, cfg.weedMaxSize, cfg.trace)
 		}
 	}
 }
@@ -288,8 +274,8 @@ func staleScenarioTable() (int, *linkage.Compact) {
 // live B–C pair, matching the reference engine exactly.
 func TestEngineStaleGlobalEntryRegression(t *testing.T) {
 	n, lt := staleScenarioTable()
-	res := agglomerate(n, lt, 2, RockGoodness, 1.0/3.0, 4, 2, false)
-	ref := agglomerateMap(n, lt, 2, RockGoodness, 1.0/3.0, 4, 2, false)
+	res := agglomerate(n, lt, 2, GoodnessROCK, 1.0/3.0, 4, 2, false)
+	ref := agglomerateMap(n, lt, 2, rockGoodness, 1.0/3.0, 4, 2, false)
 	if !reflect.DeepEqual(res.clusters, ref.clusters) || !reflect.DeepEqual(res.weeded, ref.weeded) {
 		t.Fatalf("arena %v/%v, reference %v/%v", res.clusters, res.weeded, ref.clusters, ref.weeded)
 	}
@@ -312,8 +298,8 @@ func TestEngineStaleGlobalEntryRegression(t *testing.T) {
 // the reference engine's defensive branch guarded against.
 func TestEngineStaleEntriesExhaustHeap(t *testing.T) {
 	n, lt := staleScenarioTable()
-	res := agglomerate(n, lt, 1, RockGoodness, 1.0/3.0, 4, 2, false)
-	ref := agglomerateMap(n, lt, 1, RockGoodness, 1.0/3.0, 4, 2, false)
+	res := agglomerate(n, lt, 1, GoodnessROCK, 1.0/3.0, 4, 2, false)
+	ref := agglomerateMap(n, lt, 1, rockGoodness, 1.0/3.0, 4, 2, false)
 	if !res.stoppedEarly || !ref.stoppedEarly {
 		t.Fatalf("stoppedEarly: arena %v, reference %v — want both true", res.stoppedEarly, ref.stoppedEarly)
 	}

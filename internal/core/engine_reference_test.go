@@ -32,7 +32,7 @@ type mapClus struct {
 // heaps of every affected cluster — O(n² log n) worst case, with heavy
 // allocation traffic (a fresh cluster struct, link map, and heap per
 // merge).
-func agglomerateMap(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult {
+func agglomerateMap(n int, lt *linkage.Compact, k int, good goodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool) engineResult {
 	clusters := make(map[int]*mapClus, n)
 	global := pqueue.New()
 	for i := 0; i < n; i++ {

@@ -30,7 +30,7 @@ func TestAgglomerateTwoCliques(t *testing.T) {
 		{3, 4}: 3, {3, 5}: 3, {4, 5}: 3,
 	}
 	lt := tableFromPairs(6, pairs)
-	res := agglomerate(6, lt, 2, RockGoodness, 1.0/3.0, 0, 0, false)
+	res := agglomerate(6, lt, 2, GoodnessROCK, 1.0/3.0, 0, 0, false)
 	want := [][]int{{0, 1, 2}, {3, 4, 5}}
 	if !reflect.DeepEqual(res.clusters, want) {
 		t.Fatalf("clusters = %v, want %v", res.clusters, want)
@@ -45,7 +45,7 @@ func TestAgglomerateTwoCliques(t *testing.T) {
 
 func TestAgglomerateStopsWithoutCrossLinks(t *testing.T) {
 	pairs := map[[2]int]int{{0, 1}: 1, {2, 3}: 1}
-	res := agglomerate(4, tableFromPairs(4, pairs), 1, RockGoodness, 0.3, 0, 0, false)
+	res := agglomerate(4, tableFromPairs(4, pairs), 1, GoodnessROCK, 0.3, 0, 0, false)
 	if !res.stoppedEarly {
 		t.Fatal("must stop early when no links connect the components")
 	}
@@ -59,7 +59,7 @@ func TestAgglomerateGoodnessOrder(t *testing.T) {
 	// link(0,1)=1, link(2,3)=1. With k=2 the result must be {0} merged
 	// last; check final shape {0,1,2} / {3} or {0}/{1,2,3} by goodness.
 	pairs := map[[2]int]int{{0, 1}: 1, {1, 2}: 5, {2, 3}: 1}
-	res := agglomerate(4, tableFromPairs(4, pairs), 2, RockGoodness, 1.0/3.0, 0, 0, false)
+	res := agglomerate(4, tableFromPairs(4, pairs), 2, GoodnessROCK, 1.0/3.0, 0, 0, false)
 	// First merge is certainly {1,2}. The second merge picks between
 	// attaching 0 or 3 (identical goodness by symmetry) — the tie breaks
 	// deterministically toward the smaller cluster id (0 joined earlier).
@@ -77,9 +77,9 @@ func TestAgglomerateDeterministic(t *testing.T) {
 		{0, 1}: 2, {1, 2}: 2, {0, 2}: 1, {2, 3}: 1,
 		{4, 5}: 2, {5, 6}: 2, {3, 4}: 1,
 	}
-	a := agglomerate(7, tableFromPairs(7, pairs), 2, RockGoodness, 0.25, 0, 0, false)
+	a := agglomerate(7, tableFromPairs(7, pairs), 2, GoodnessROCK, 0.25, 0, 0, false)
 	for trial := 0; trial < 10; trial++ {
-		b := agglomerate(7, tableFromPairs(7, pairs), 2, RockGoodness, 0.25, 0, 0, false)
+		b := agglomerate(7, tableFromPairs(7, pairs), 2, GoodnessROCK, 0.25, 0, 0, false)
 		if !reflect.DeepEqual(a.clusters, b.clusters) || a.merges != b.merges {
 			t.Fatalf("nondeterministic agglomeration: %v vs %v", a.clusters, b.clusters)
 		}
@@ -96,7 +96,7 @@ func TestAgglomerateWeeding(t *testing.T) {
 	}
 	// weedTrigger 4: when active clusters reach 4 (after 4 merges of the
 	// cliques), clusters of size ≤ 2 — the {6,7} pair — are discarded.
-	res := agglomerate(8, tableFromPairs(8, pairs), 2, RockGoodness, 1.0/3.0, 4, 2, false)
+	res := agglomerate(8, tableFromPairs(8, pairs), 2, GoodnessROCK, 1.0/3.0, 4, 2, false)
 	if !reflect.DeepEqual(res.weeded, []int{6, 7}) {
 		t.Fatalf("weeded = %v, want [6 7]", res.weeded)
 	}
@@ -108,7 +108,7 @@ func TestAgglomerateWeeding(t *testing.T) {
 
 func TestAgglomerateKOne(t *testing.T) {
 	pairs := map[[2]int]int{{0, 1}: 1, {1, 2}: 1, {0, 2}: 1}
-	res := agglomerate(3, tableFromPairs(3, pairs), 1, RockGoodness, 0.3, 0, 0, false)
+	res := agglomerate(3, tableFromPairs(3, pairs), 1, GoodnessROCK, 0.3, 0, 0, false)
 	if len(res.clusters) != 1 || len(res.clusters[0]) != 3 {
 		t.Fatalf("clusters = %v", res.clusters)
 	}
@@ -127,7 +127,7 @@ func TestPaperExampleSeparation(t *testing.T) {
 	}
 	nb := similarity.Compute(ts, 0.5, similarity.Options{})
 	lt := linkage.Build(nb, linkage.Options{})
-	res := agglomerate(len(ts), lt, 2, RockGoodness, MarketBasketF(0.5), 0, 0, false)
+	res := agglomerate(len(ts), lt, 2, GoodnessROCK, MarketBasketF(0.5), 0, 0, false)
 	if len(res.clusters) != 2 {
 		t.Fatalf("clusters = %v", res.clusters)
 	}
@@ -155,17 +155,17 @@ func TestPaperExampleSeparation(t *testing.T) {
 	// instance absorbing the border transactions is genuinely E_l-better.
 	truth := [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {10, 11, 12, 13}}
 	f := MarketBasketF(0.5)
-	if got, want := CriterionCSR(res.clusters, lt, f), CriterionCSR(truth, lt, f); got < want-1e-9 {
+	if got, want := Criterion(res.clusters, lt.Get, f), Criterion(truth, lt.Get, f); got < want-1e-9 {
 		t.Fatalf("greedy criterion %g below ground truth %g", got, want)
 	}
 }
 
 func TestAgglomerateEmptyAndSingle(t *testing.T) {
-	res := agglomerate(0, linkage.CompactFrom(&linkage.Table{}), 1, RockGoodness, 0.3, 0, 0, false)
+	res := agglomerate(0, linkage.CompactFrom(&linkage.Table{}), 1, GoodnessROCK, 0.3, 0, 0, false)
 	if len(res.clusters) != 0 {
 		t.Fatal("empty input should give no clusters")
 	}
-	res = agglomerate(1, tableFromPairs(1, nil), 1, RockGoodness, 0.3, 0, 0, false)
+	res = agglomerate(1, tableFromPairs(1, nil), 1, GoodnessROCK, 0.3, 0, 0, false)
 	if len(res.clusters) != 1 || res.clusters[0][0] != 0 {
 		t.Fatalf("single point: %v", res.clusters)
 	}

@@ -32,7 +32,7 @@ func TestEngineWorkCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := c.lt.Len()
-		res := agglomerate(n, c.lt, c.k, nil, c.f, 0, 0, false)
+		res := agglomerate(n, c.lt, c.k, GoodnessROCK, c.f, 0, 0, false)
 		if res.merges != c.merges || res.rescans != c.rescans || res.scanned != c.scanned {
 			t.Errorf("%s: merges %d rescans %d scanned %d, want %d %d %d",
 				c.name, res.merges, res.rescans, res.scanned, c.merges, c.rescans, c.scanned)

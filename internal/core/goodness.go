@@ -35,19 +35,16 @@
 // global lazy heap orders slots by that cached best, tie-breaking on
 // logical id.
 //
-// Goodness evaluation: a nil Config.Goodness selects the built-in
-// RockGoodness, which the arena evaluates from a per-run power table
-// pow[s] = s^(1+2f) over every cluster size the run can reach
-// (powTable), so the hot loop computes pow[a+b] − pow[a] − pow[b] with no
-// math.Pow call and the same bits RockGoodness returns. A non-nil
-// Goodness is called once per candidate.
+// Goodness evaluation: Config.Goodness picks one of a closed set of
+// merge scores, which the arena evaluates inline with no indirect call.
+// The default, GoodnessROCK, reads a per-run power table pow[s] =
+// s^(1+2f) over every cluster size the run can reach (powTable), so the
+// hot loop computes pow[a+b] − pow[a] − pow[b] with no math.Pow call;
+// goodness_test.go keeps the formulas themselves as the reference
+// engine's scoring and the table's bit-for-bit oracle.
 package core
 
-import (
-	"math"
-
-	"github.com/rockclust/rock/internal/linkage"
-)
+import "math"
 
 // FTheta maps the neighbor threshold θ to the exponent function f(θ) used
 // by the criterion and goodness measures: a point in cluster C_i is
@@ -62,36 +59,33 @@ func MarketBasketF(theta float64) float64 { return (1 - theta) / (1 + theta) }
 // the sensitivity of the criterion to the exponent.
 func ConstantF(c float64) FTheta { return func(float64) float64 { return c } }
 
-// GoodnessFunc scores a candidate merge of clusters with sizes ni and nj
-// joined by links cross links, given the exponent value f = f(θ). Higher
-// is better. ROCK merges the pair with maximal goodness.
-type GoodnessFunc func(links int, ni, nj int, f float64) float64
+// Goodness selects the score the merge phase maximizes. The zero value
+// is the paper's measure; the other two are the ablations experiment A1
+// compares it with. Config.Validate rejects any other value.
+type Goodness uint8
 
-// RockGoodness is the paper's goodness measure
-//
-//	g(Ci,Cj) = link[Ci,Cj] / ((ni+nj)^(1+2f) − ni^(1+2f) − nj^(1+2f)),
-//
-// the observed cross-link count normalized by its expectation, which
-// prevents large clusters from absorbing everything simply because they
-// have many links in aggregate.
-func RockGoodness(links int, ni, nj int, f float64) float64 {
-	if links == 0 {
-		return 0
-	}
-	exp := 1 + 2*f
-	denom := math.Pow(float64(ni+nj), exp) - math.Pow(float64(ni), exp) - math.Pow(float64(nj), exp)
-	if denom <= 0 {
-		// exp ≤ 1 can produce a non-positive expectation; fall back to the
-		// raw link count so merging still prefers strongly linked pairs.
-		return float64(links)
-	}
-	return float64(links) / denom
-}
+const (
+	// GoodnessROCK is the paper's goodness measure
+	//
+	//	g(Ci,Cj) = link[Ci,Cj] / ((ni+nj)^(1+2f) − ni^(1+2f) − nj^(1+2f)),
+	//
+	// the observed cross-link count normalized by its expectation, which
+	// prevents large clusters from absorbing everything simply because
+	// they have many links in aggregate. Where 1+2f ≤ 1 makes the
+	// expectation non-positive, it falls back to the raw link count.
+	GoodnessROCK Goodness = iota
+	// GoodnessLinkCount merges by raw cross-link count, the unnormalized
+	// ablation. Large clusters dominate.
+	GoodnessLinkCount
+	// GoodnessLinksPerPair merges by links/(ni·nj), the mean number of
+	// links per cross pair: a plausible but weaker normalization.
+	GoodnessLinksPerPair
+)
 
-// powTable is the built-in goodness's per-run table: pow[s] =
-// s^(1+2f) for every cluster size s in [0, points]. Cluster sizes are
-// integers and f is fixed for a run, so the three math.Pow calls
-// RockGoodness makes per candidate become three loads.
+// powTable is GoodnessROCK's per-run table: pow[s] = s^(1+2f) for every
+// cluster size s in [0, points]. Cluster sizes are integers and f is
+// fixed for a run, so the three powers each candidate needs become three
+// loads.
 type powTable []float64
 
 // newPowTable builds the table for clusters of up to points points.
@@ -104,11 +98,10 @@ func newPowTable(points int, f float64) powTable {
 	return pow
 }
 
-// goodness is RockGoodness(links, ni, nj, f) read from the table, bit
-// for bit: the same powers subtracted in the same order —
-// (pow[ni+nj] − pow[ni]) − pow[nj] — because floating-point subtraction
-// is not associative, and the same zero-link and non-positive-denominator
-// cases.
+// goodness is GoodnessROCK for sizes ni and nj, the powers subtracted in
+// the formula's order — (pow[ni+nj] − pow[ni]) − pow[nj] — because
+// floating-point subtraction is not associative. With zero links it is
+// 0, and with a non-positive denominator the raw link count.
 func (pow powTable) goodness(links, ni, nj int32) float64 {
 	if links == 0 {
 		return 0
@@ -118,19 +111,6 @@ func (pow powTable) goodness(links, ni, nj int32) float64 {
 		return float64(links)
 	}
 	return float64(links) / denom
-}
-
-// LinkCountGoodness merges by raw cross-link count — the unnormalized
-// ablation of RockGoodness. Large clusters dominate.
-func LinkCountGoodness(links int, ni, nj int, f float64) float64 {
-	return float64(links)
-}
-
-// AverageLinkGoodness merges by links/(ni·nj), the mean number of links
-// per cross pair — a plausible but weaker normalization, compared in the
-// goodness ablation (experiment A1 of `rockbench -list`).
-func AverageLinkGoodness(links int, ni, nj int, f float64) float64 {
-	return float64(links) / (float64(ni) * float64(nj))
 }
 
 // Criterion evaluates the paper's criterion function
@@ -157,42 +137,6 @@ func Criterion(clusters [][]int, get func(i, j int) int, f float64) float64 {
 		// Each unordered pair counted once; the paper's double sum over
 		// ordered pairs is twice that, a constant factor that does not
 		// change the argmax. We keep unordered counts throughout.
-		total += float64(n) * float64(links) / math.Pow(float64(n), exp)
-	}
-	return total
-}
-
-// CriterionCSR evaluates the same criterion directly over a CSR link
-// table: each member's row is scanned once against a cluster-membership
-// array, so a cluster costs O(Σ_{p∈C_i} deg(p)) instead of the O(n_i²)
-// pair probes of Criterion. Values agree exactly with
-// Criterion(clusters, c.Get, f).
-func CriterionCSR(clusters [][]int, c *linkage.Compact, f float64) float64 {
-	cluster := make([]int32, c.Len())
-	for i := range cluster {
-		cluster[i] = -1
-	}
-	for ci, members := range clusters {
-		for _, p := range members {
-			cluster[p] = int32(ci)
-		}
-	}
-	exp := 1 + 2*f
-	total := 0.0
-	for ci, members := range clusters {
-		n := len(members)
-		if n < 2 {
-			continue
-		}
-		links := 0
-		for _, p := range members {
-			c.Row(p, func(j, count int) {
-				// Count each unordered intra-cluster pair once.
-				if j > p && cluster[j] == int32(ci) {
-					links += count
-				}
-			})
-		}
 		total += float64(n) * float64(links) / math.Pow(float64(n), exp)
 	}
 	return total

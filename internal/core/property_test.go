@@ -54,7 +54,7 @@ func TestAgglomerateInvariantsQuick(t *testing.T) {
 		},
 	}
 	prop := func(in inputs) bool {
-		res := agglomerate(in.n, in.table, in.k, RockGoodness, 0.3, in.weedTrigger, in.weedMaxSize, true)
+		res := agglomerate(in.n, in.table, in.k, GoodnessROCK, 0.3, in.weedTrigger, in.weedMaxSize, true)
 
 		seen := make([]bool, in.n)
 		clustered := 0
@@ -89,7 +89,7 @@ func TestAgglomerateInvariantsQuick(t *testing.T) {
 			return false
 		}
 		// Determinism.
-		rerun := agglomerate(in.n, in.table, in.k, RockGoodness, 0.3, in.weedTrigger, in.weedMaxSize, true)
+		rerun := agglomerate(in.n, in.table, in.k, GoodnessROCK, 0.3, in.weedTrigger, in.weedMaxSize, true)
 		return reflect.DeepEqual(rerun.clusters, res.clusters) &&
 			reflect.DeepEqual(rerun.weeded, res.weeded) &&
 			reflect.DeepEqual(rerun.trace, res.trace)

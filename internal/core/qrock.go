@@ -54,7 +54,10 @@ type QRockConfig struct {
 // naming the first transaction that is not canonical or holds a negative
 // item.
 func QRock(ts []dataset.Transaction, cfg QRockConfig) (*Result, error) {
-	rcfg := Config{Theta: cfg.Theta, K: 1, Measure: cfg.Measure, Workers: cfg.Workers}
+	rcfg := Config{
+		Theta: cfg.Theta, K: 1, Measure: cfg.Measure, Workers: cfg.Workers, Seed: cfg.Seed,
+		LSHNeighbors: cfg.LSHNeighbors, LSHHashes: cfg.LSHHashes, LSHBands: cfg.LSHBands,
+	}
 	if err := rcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -71,20 +74,7 @@ func QRock(ts []dataset.Transaction, cfg QRockConfig) (*Result, error) {
 		return res, nil
 	}
 
-	var nb *similarity.Neighbors
-	if cfg.LSHNeighbors {
-		nb = similarity.ComputeLSH(ts, cfg.Theta, similarity.LSHOptions{
-			Hashes:  cfg.LSHHashes,
-			Bands:   cfg.LSHBands,
-			Seed:    cfg.Seed,
-			Measure: rcfg.Measure,
-			Workers: cfg.Workers,
-		})
-	} else {
-		nb = similarity.ComputeIndexed(ts, cfg.Theta, similarity.Options{Measure: rcfg.Measure, Workers: cfg.Workers})
-	}
-	res.Stats.AvgNeighbors, res.Stats.MaxNeighbors, _ = nb.Stats()
-	res.Stats.addLSH(nb.LSH)
+	nb := neighborPhase(ts, rcfg, &res.Stats)
 
 	uf := unionfind.New(n)
 	for i := 0; i < n; i++ {

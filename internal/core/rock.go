@@ -164,21 +164,7 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	}
 
 	// Phase 2: θ-neighbors over the sample.
-	var nb *similarity.Neighbors
-	if cfg.LSHNeighbors {
-		nb = similarity.ComputeLSH(local, cfg.Theta, similarity.LSHOptions{
-			Hashes:      cfg.LSHHashes,
-			Bands:       cfg.LSHBands,
-			Seed:        cfg.Seed,
-			Measure:     cfg.Measure,
-			IncludeSelf: cfg.IncludeSelf,
-			Workers:     cfg.Workers,
-		})
-	} else {
-		nb = similarity.ComputeIndexed(local, cfg.Theta, similarity.Options{Measure: cfg.Measure, IncludeSelf: cfg.IncludeSelf, Workers: cfg.Workers})
-	}
-	res.Stats.AvgNeighbors, res.Stats.MaxNeighbors, _ = nb.Stats()
-	res.Stats.addLSH(nb.LSH)
+	nb := neighborPhase(local, cfg, &res.Stats)
 
 	// Phase 3: prune sparse points (paper: outliers have few neighbors);
 	// seeded points are never pruned.
@@ -197,8 +183,7 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 
 	// Phase 5: agglomerate on the arena engine, from one slot per seed
 	// group plus one singleton per other kept point. Weeding triggers on
-	// the initial slot count. A nil cfg.Goodness (withDefaults leaves it
-	// nil) runs the built-in goodness from the arena's power table.
+	// the initial slot count.
 	slotOf, slots := seedSlots(kept, len(seed), groupOf)
 	weedTrigger := 0
 	if cfg.WeedAt > 0 {
@@ -289,6 +274,29 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 
 	sort.Ints(res.Outliers)
 	return res, nil
+}
+
+// neighborPhase computes the θ-neighbor lists of ts, on the exact
+// θ-query index or, with cfg.LSHNeighbors, on the MinHash/LSH pipeline,
+// and records m_a, m_m and the LSH quality ledger in stats. Cluster and
+// QRock share it; cfg must have its defaults applied.
+func neighborPhase(ts []dataset.Transaction, cfg Config, stats *Stats) *similarity.Neighbors {
+	var nb *similarity.Neighbors
+	if cfg.LSHNeighbors {
+		nb = similarity.ComputeLSH(ts, cfg.Theta, similarity.LSHOptions{
+			Hashes:      cfg.LSHHashes,
+			Bands:       cfg.LSHBands,
+			Seed:        cfg.Seed,
+			Measure:     cfg.Measure,
+			IncludeSelf: cfg.IncludeSelf,
+			Workers:     cfg.Workers,
+		})
+	} else {
+		nb = similarity.ComputeIndexed(ts, cfg.Theta, similarity.Options{Measure: cfg.Measure, IncludeSelf: cfg.IncludeSelf, Workers: cfg.Workers})
+	}
+	stats.AvgNeighbors, stats.MaxNeighbors, _ = nb.Stats()
+	stats.addLSH(nb.LSH)
+	return nb
 }
 
 // pruneByDegree splits points into those with at least minNeighbors

@@ -224,6 +224,15 @@ func TestClusterValidation(t *testing.T) {
 		{Theta: 0.5, K: 2, LabelFraction: math.NaN()},
 		{Theta: 0.5, K: 2, F: func(float64) float64 { return math.NaN() }},
 		{Theta: 0.5, K: 2, F: ConstantF(math.Inf(1))},
+		// Exponent 2001: the power table overflows at cluster size 2.
+		{Theta: 0.5, K: 2, F: ConstantF(1000)},
+		// Labeling and weeding knobs outside their ranges are rejected,
+		// not mapped to the defaults.
+		{Theta: 0.5, K: 2, LabelFraction: 1.5},
+		{Theta: 0.5, K: 2, LabelFraction: -1},
+		{Theta: 0.5, K: 2, MaxLabelPoints: -1},
+		{Theta: 0.5, K: 2, WeedAt: 0.5, WeedMaxSize: -1},
+		{Theta: 0.5, K: 2, Goodness: GoodnessLinksPerPair + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Cluster(ts, cfg); err == nil {

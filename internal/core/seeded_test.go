@@ -315,7 +315,7 @@ func TestSeedFoldOracle(t *testing.T) {
 		plt := linkage.Build(filterNeighbors(nb, kept), linkage.Options{})
 		slotOf, slots := seedSlots(kept, len(seed), groupOf)
 
-		a, err := newArena(plt, slotOf, slots, RockGoodness, MarketBasketF(theta))
+		a, err := newArena(plt, slotOf, slots, GoodnessROCK, MarketBasketF(theta))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -357,14 +357,14 @@ func TestSeedFoldOracle(t *testing.T) {
 // with an error, never wrap into a corrupt goodness value.
 func TestSeedFoldOverflow(t *testing.T) {
 	lt := tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1 << 30})
-	if _, err := newArena(lt, []int32{0, 0, 1}, 2, RockGoodness, 0.5); err == nil || !strings.Contains(err.Error(), "exceeds 2^31") {
+	if _, err := newArena(lt, []int32{0, 0, 1}, 2, GoodnessROCK, 0.5); err == nil || !strings.Contains(err.Error(), "exceeds 2^31") {
 		t.Fatalf("err = %v, want the 2^31 overflow error", err)
 	}
 	if _, err := foldLinksMap(lt, []int32{0, 0, 1}, 2); err == nil {
 		t.Fatal("oracle fold accepted the overflowing count")
 	}
 	lt = tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1<<30 - 1})
-	if _, err := newArena(lt, []int32{0, 0, 1}, 2, RockGoodness, 0.5); err != nil {
+	if _, err := newArena(lt, []int32{0, 0, 1}, 2, GoodnessROCK, 0.5); err != nil {
 		t.Fatalf("count at the int32 boundary rejected: %v", err)
 	}
 }

@@ -10,7 +10,7 @@ func TestTraceRecordsMerges(t *testing.T) {
 		{0, 1}: 3, {0, 2}: 3, {1, 2}: 3,
 		{3, 4}: 3, {3, 5}: 3, {4, 5}: 3,
 	}
-	res := agglomerate(6, tableFromPairs(6, pairs), 2, RockGoodness, 1.0/3.0, 0, 0, true)
+	res := agglomerate(6, tableFromPairs(6, pairs), 2, GoodnessROCK, 1.0/3.0, 0, 0, true)
 	if len(res.trace) != 4 {
 		t.Fatalf("trace has %d steps, want 4", len(res.trace))
 	}
@@ -33,10 +33,10 @@ func TestCutTraceReproducesEveryK(t *testing.T) {
 		{0, 1}: 4, {1, 2}: 3, {0, 2}: 3, {2, 3}: 1,
 		{4, 5}: 4, {5, 6}: 3, {3, 4}: 1,
 	}
-	full := agglomerate(7, tableFromPairs(7, pairs), 1, RockGoodness, 0.3, 0, 0, true)
+	full := agglomerate(7, tableFromPairs(7, pairs), 1, GoodnessROCK, 0.3, 0, 0, true)
 	// Cutting at k must match a fresh run at that k, for every reachable k.
 	for k := 1; k <= 7; k++ {
-		fresh := agglomerate(7, tableFromPairs(7, pairs), k, RockGoodness, 0.3, 0, 0, false)
+		fresh := agglomerate(7, tableFromPairs(7, pairs), k, GoodnessROCK, 0.3, 0, 0, false)
 		cut, err := CutTrace(7, full.trace, k)
 		if err != nil {
 			t.Fatal(err)

@@ -31,7 +31,7 @@ func TestTraceWithWeeding(t *testing.T) {
 	lt := tableFromPairs(n, pairs)
 	// The straggler pair merges first; cliques complete after 6 more
 	// merges; at 3 active clusters weeding discards the size-2 straggler.
-	res := agglomerate(n, lt, 2, RockGoodness, 1.0/3.0, 3, 2, true)
+	res := agglomerate(n, lt, 2, GoodnessROCK, 1.0/3.0, 3, 2, true)
 	if !reflect.DeepEqual(res.weeded, []int{8, 9}) {
 		t.Fatalf("weeded = %v, want [8 9]", res.weeded)
 	}
@@ -93,7 +93,7 @@ func TestTraceWithWeeding(t *testing.T) {
 func TestCutTraceOnWeededDendrogram(t *testing.T) {
 	n, pairs := weedTraceTable()
 	lt := tableFromPairs(n, pairs)
-	res := agglomerate(n, lt, 2, RockGoodness, 1.0/3.0, 3, 2, true)
+	res := agglomerate(n, lt, 2, GoodnessROCK, 1.0/3.0, 3, 2, true)
 	floor := n - res.merges // 2 clusters + 1 weeded group
 
 	cut, err := CutTrace(n, res.trace, len(res.clusters))
@@ -203,8 +203,8 @@ func TestWeedingDeterministicWithTrace(t *testing.T) {
 		n := 10 + r.Intn(40)
 		lt := randomLinkTable(r, n)
 		trigger := 1 + r.Intn(n)
-		a := agglomerate(n, lt, 1, RockGoodness, 0.3, trigger, 2, true)
-		b := agglomerate(n, lt, 1, RockGoodness, 0.3, trigger, 2, true)
+		a := agglomerate(n, lt, 1, GoodnessROCK, 0.3, trigger, 2, true)
+		b := agglomerate(n, lt, 1, GoodnessROCK, 0.3, trigger, 2, true)
 		if !reflect.DeepEqual(a.trace, b.trace) || !reflect.DeepEqual(a.weeded, b.weeded) {
 			t.Fatalf("trial %d: nondeterministic weeded trace", trial)
 		}

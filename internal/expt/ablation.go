@@ -42,11 +42,11 @@ func runA1(opts Options) (*Report, error) {
 	data := overlapBasket(opts)
 	kinds := []struct {
 		name string
-		g    core.GoodnessFunc
+		g    core.Goodness
 	}{
-		{"rock (links/expected)", core.RockGoodness},
-		{"raw link count", core.LinkCountGoodness},
-		{"links per pair", core.AverageLinkGoodness},
+		{"rock (links/expected)", core.GoodnessROCK},
+		{"raw link count", core.GoodnessLinkCount},
+		{"links per pair", core.GoodnessLinksPerPair},
 	}
 	headers := []string{"goodness", "clusters", "error e", "ARI"}
 	var rows [][]string

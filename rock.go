@@ -21,8 +21,9 @@ type (
 	Stats = core.Stats
 	// FTheta maps θ to the criterion exponent f(θ).
 	FTheta = core.FTheta
-	// GoodnessFunc scores candidate merges.
-	GoodnessFunc = core.GoodnessFunc
+	// Goodness selects the merge score: GoodnessROCK (the default),
+	// GoodnessLinkCount or GoodnessLinksPerPair.
+	Goodness = core.Goodness
 	// QRockConfig parameterizes the QROCK variant.
 	QRockConfig = core.QRockConfig
 	// MergeStep is one dendrogram entry recorded with Config.TraceMerges.
@@ -182,21 +183,17 @@ func MarketBasketF(theta float64) float64 { return core.MarketBasketF(theta) }
 // ConstantF returns an exponent function that ignores θ.
 func ConstantF(c float64) FTheta { return core.ConstantF(c) }
 
-// RockGoodness is the paper's goodness measure: cross links normalized by
-// their expectation under the f(θ) neighbor model.
-func RockGoodness(links, ni, nj int, f float64) float64 {
-	return core.RockGoodness(links, ni, nj, f)
-}
-
-// LinkCountGoodness merges by raw cross-link count (ablation).
-func LinkCountGoodness(links, ni, nj int, f float64) float64 {
-	return core.LinkCountGoodness(links, ni, nj, f)
-}
-
-// AverageLinkGoodness merges by links per cross pair (ablation).
-func AverageLinkGoodness(links, ni, nj int, f float64) float64 {
-	return core.AverageLinkGoodness(links, ni, nj, f)
-}
+// The merge scores Config.Goodness selects from.
+const (
+	// GoodnessROCK, the zero value, is the paper's goodness measure:
+	// cross links normalized by their expectation under the f(θ)
+	// neighbor model.
+	GoodnessROCK = core.GoodnessROCK
+	// GoodnessLinkCount merges by raw cross-link count (ablation).
+	GoodnessLinkCount = core.GoodnessLinkCount
+	// GoodnessLinksPerPair merges by links per cross pair (ablation).
+	GoodnessLinksPerPair = core.GoodnessLinksPerPair
+)
 
 // Criterion evaluates the paper's criterion function E_l over a
 // clustering given a pairwise link oracle.
