@@ -95,21 +95,32 @@ func BenchmarkNeighborsLSH(b *testing.B) {
 	}
 }
 
+// BenchmarkLinksParallel times the link build on sparse baskets (θ=0.6,
+// every row on pair counting) and on dense planted-label records (θ=0.5,
+// about n/4 neighbors a point, rows on the bitset kernel).
 func BenchmarkLinksParallel(b *testing.B) {
 	workerCounts := []int{1, 2, 4}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
 		workerCounts = append(workerCounts, g)
 	}
 	for _, n := range []int{1000, 2000} {
-		d := benchBasket(n)
-		nb := similarity.ComputeIndexed(d.Trans, 0.6, similarity.Options{})
-		for _, w := range workerCounts {
-			b.Run(sizeName(n)+"/workers="+strconv.Itoa(w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					linkage.FromNeighborsCSR(nb, w)
-				}
-			})
+		labeled := rock.GenerateLabeled(rock.LabeledConfig{Records: n, Classes: 4, Seed: 1})
+		inputs := []struct {
+			name string
+			nb   *similarity.Neighbors
+		}{
+			{"baskets", similarity.ComputeIndexed(benchBasket(n).Trans, 0.6, similarity.Options{})},
+			{"labels", similarity.ComputeIndexed(labeled.Trans, 0.5, similarity.Options{})},
+		}
+		for _, in := range inputs {
+			for _, w := range workerCounts {
+				b.Run(in.name+"/"+sizeName(n)+"/workers="+strconv.Itoa(w), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						linkage.Build(in.nb, linkage.Options{Workers: w})
+					}
+				})
+			}
 		}
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 		members  = flag.Bool("members", false, "print cluster members")
 		topItems = flag.Int("top-items", 0, "print this many top items per cluster")
 		lsh      = flag.Bool("lsh", false, "approximate neighbors via MinHash LSH (large inputs)")
-		workers  = flag.Int("workers", 0, "goroutines for the neighbor, link, merge, labeling, and assign phases (0 = GOMAXPROCS); results are identical for every value")
+		workers  = flag.Int("workers", 0, "goroutines for the neighbor, link, labeling, and assign phases (0 = GOMAXPROCS; the merge is serial); results are identical for every value")
 		maxRows  = flag.Int("max-rows", 40, "clusters shown in the summary table")
 		saveTo   = flag.String("save", "", "after clustering, freeze a servable model to this file")
 		loadFrom = flag.String("load", "", "load a frozen model instead of clustering (with -assign: label the input against it)")
@@ -63,6 +63,8 @@ func main() {
 	}
 	var err error
 	switch {
+	case *workers < 0:
+		err = fmt.Errorf("-workers %d is negative", *workers)
 	case *assign && *loadFrom == "":
 		err = fmt.Errorf("-assign needs -load: there is no model to assign through")
 	case *loadFrom != "" && *saveTo != "":

@@ -70,12 +70,13 @@ type Config struct {
 	MaxLabelPoints int
 
 	// Workers bounds parallelism in the neighbor, link, and labeling
-	// phases; 0 = GOMAXPROCS. Results are byte-identical for every worker
-	// count. Labeling shards only runs of 1024 or more candidates; below
-	// that the goroutine handoff costs more than it saves. Both the
-	// neighbor and the labeling phase query a similarity.Index, which is
-	// exact for every Measure: item postings for the built-in measures,
-	// pairwise evaluation for custom Measure funcs.
+	// phases; 0 = GOMAXPROCS, and a negative value is rejected. Results
+	// are byte-identical for every worker count. Labeling shards only
+	// runs of 1024 or more candidates; below that the goroutine handoff
+	// costs more than it saves. Both the neighbor and the labeling phase
+	// query a similarity.Index, which is exact for every Measure: item
+	// postings for the built-in measures, pairwise evaluation for custom
+	// Measure funcs.
 	Workers int
 
 	// TraceMerges records every merge step into Result.MergeTrace,
@@ -145,6 +146,9 @@ func (c Config) Validate() error {
 	}
 	if c.Goodness > GoodnessLinksPerPair {
 		return fmt.Errorf("core: unknown goodness %d", c.Goodness)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("core: negative workers %d", c.Workers)
 	}
 	return nil
 }

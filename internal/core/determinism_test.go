@@ -20,7 +20,7 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 		{Theta: 0.5, K: 4, Seed: 11, TraceMerges: true},
 		{Theta: 0.6, K: 3, Seed: 7, SampleSize: 150, MinNeighbors: 2, WeedAt: 0.3},
 		{Theta: 0.3, K: 5, Seed: 23, LabelOutliers: true},
-		// Every run takes the sharded CSR link builder, so link-phase
+		// Every run takes the chunked link builder, so link-phase
 		// parallelism is exercised, not just the neighbor phase.
 		{Theta: 0.5, K: 4, Seed: 13, TraceMerges: true},
 		// labelSerialBelow: -1 forces candidate sharding in the labeling

@@ -39,8 +39,8 @@ type QRockConfig struct {
 // allowed to float, ROCK's merging — which joins any two clusters with a
 // positive cross link — terminates exactly at the connected components of
 // the θ-neighbor graph. QROCK therefore computes those components
-// directly with a disjoint-set forest, skipping the link phase (even the
-// sharded CSR builder) and heaps entirely. It serves as the A2 ablation:
+// directly with a disjoint-set forest, skipping the link phase and heaps
+// entirely. It serves as the A2 ablation:
 // where component structure is enough, QROCK is dramatically cheaper;
 // where cluster counts must be driven down to k, full ROCK's goodness
 // ordering matters.

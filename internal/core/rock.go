@@ -175,8 +175,8 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	}
 	keptNb := filterNeighbors(nb, kept)
 
-	// Phase 4: links over the kept sample, built directly in CSR form by
-	// the sharded builder — deterministic and worker-count independent.
+	// Phase 4: links over the kept sample, built directly in CSR form —
+	// deterministic and worker-count independent.
 	lt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers})
 	res.Stats.LinkPairs = lt.Pairs()
 	res.Stats.LinkEntries = int64(lt.Entries())

@@ -233,6 +233,8 @@ func TestClusterValidation(t *testing.T) {
 		{Theta: 0.5, K: 2, MaxLabelPoints: -1},
 		{Theta: 0.5, K: 2, WeedAt: 0.5, WeedMaxSize: -1},
 		{Theta: 0.5, K: 2, Goodness: GoodnessLinksPerPair + 1},
+		// A negative worker count is an error, not GOMAXPROCS.
+		{Theta: 0.5, K: 2, Workers: -7},
 	}
 	for i, cfg := range bad {
 		if _, err := Cluster(ts, cfg); err == nil {

@@ -105,7 +105,7 @@ func evalNote(name string, ev metrics.Eval) string {
 // linkStatsNote renders one ROCK run's pipeline ledger in the shared
 // form of the E-report notes: neighbor densities (the paper's m_a/m_m),
 // the CSR link table volume (link-entries is the directed entry count
-// the sharded builder materialized, 2× the undirected pairs), and the
+// the link builder materialized, 2× the undirected pairs), and the
 // outlier/merge counters. When the run used the approximate LSH
 // neighbor phase its quality ledger is appended.
 func linkStatsNote(st core.Stats) string {

@@ -9,10 +9,9 @@ import (
 // sorted adjacency array per point plus parallel counts. It holds the
 // same information as Table in a fraction of the memory and with
 // cache-friendly iteration, and is the representation the agglomeration
-// engine consumes — built directly by the sharded parallel builder
-// (FromNeighborsCSR, behind Build), or converted from a map-based Table
-// (CompactFrom) when tests compare against the oracles or hand-build a
-// link table.
+// engine consumes — built directly by Build, or converted from a
+// map-based Table (CompactFrom) when tests compare against the oracles
+// or hand-build a link table.
 type Compact struct {
 	// rowStart is int64 so the total-entry ceiling is the address space,
 	// not 2^31: at ~100k dense points the link table already brushes
@@ -51,8 +50,8 @@ func CompactFrom(t *Table) *Compact {
 
 // rowStartFromLengths prefix-sums per-row entry counts into the CSR
 // row-start array. The accumulation is int64 throughout, so tables whose
-// total entry count exceeds 2^31 index exactly; both builders and the
-// boundary test share this path.
+// total entry count exceeds 2^31 index exactly; Build, CompactFrom and
+// the boundary test share this path.
 func rowStartFromLengths(lens []int32) []int64 {
 	rs := make([]int64, len(lens)+1)
 	for i, l := range lens {

@@ -3,14 +3,16 @@
 // the neighborhood graph — the paper's central insight is that merging by
 // links is far more robust than merging by raw pairwise similarity.
 //
-// The builder is the paper's pair counting: for every point l, every
-// pair of l's neighbors gains one link through l; expected cost
-// O(Σ_i m_i²) for neighbor-list sizes m_i. FromNeighborsCSR shards that
-// counting across workers, each owning contiguous rows and counting into
-// dense scratch arrays; it is the production builder. Its oracles live in
-// this package's tests: FromNeighbors, the paper's serial loop into a
-// map-based Table, and Dense, which recomputes every count as a bitset
-// intersection popcount.
+// A link count is an entry of A·A for the 0/1 neighbor matrix A. Build
+// counts the entries above the diagonal row by row and mirrors them
+// below it. When the neighbor matrix's bit rows take no more memory
+// than the neighbor lists and their transpose, every row runs on a
+// bitset kernel that counts each candidate as the popcount of two bit
+// rows; otherwise, as on every sparse input, every row runs on the
+// paper's pair counting (every pair of a point's neighbors gains one
+// link through it). The oracles live in this package's tests:
+// FromNeighbors, the paper's serial loop into a map-based Table, and
+// Dense, which recomputes every count as a bitset intersection popcount.
 //
 // The production representation is Compact, a CSR (compressed sparse
 // row) table with these invariants: rowStart is int64 and has length
@@ -18,8 +20,8 @@
 // cols/counts[rowStart[i]:rowStart[i+1]] with column indices strictly
 // ascending (int32 — points per sample stay below 2³¹); the relation is
 // symmetric (j in row i iff i in row j, equal counts) and irreflexive.
-// Build runs the sharded constructor, whose table is bit-identical to
-// the serial algorithm's at every worker count.
+// Build's table is byte-identical to the serial algorithm's at every
+// worker count.
 package linkage
 
 // Table holds link counts as a symmetric sparse adjacency: Adj[i][j] is

@@ -1,57 +1,79 @@
 package linkage
 
 import (
-	"runtime"
+	"math/bits"
 	"slices"
 	"sync"
 
+	"github.com/rockclust/rock/internal/chunkwork"
 	"github.com/rockclust/rock/internal/similarity"
 )
 
 // Options configure Build.
 type Options struct {
-	// Workers bounds the number of goroutines used by the sharded
-	// builder; 0 means GOMAXPROCS. Output is identical for every value.
+	// Workers bounds the number of goroutines the builder runs on; 0
+	// means GOMAXPROCS. Output is identical for every value.
 	Workers int
 }
 
-// Build computes the link table of nb directly in CSR form — the
-// representation the agglomeration engine consumes — on the sharded
-// builder FromNeighborsCSR, the only runtime path. The tests prove it
-// bit-identical to the paper's serial pair counting (FromNeighbors in
-// reference_test.go).
+// Build computes the link table of nb in CSR form, the representation
+// the agglomeration engine consumes. The tests prove it byte-identical
+// to the paper's serial pair counting (FromNeighbors) and to the
+// bitset-popcount oracle (Dense), both in reference_test.go.
 func Build(nb *similarity.Neighbors, opts Options) *Compact {
-	return FromNeighborsCSR(nb, opts.Workers)
+	c, _ := build(nb, opts.Workers)
+	return c
 }
 
-// FromNeighborsCSR computes link counts by sharded row-wise pair
-// counting, assembling a CSR Compact directly with no intermediate maps.
+// buildWork counts the work of one build: rows counted by each kernel,
+// pair-counting increments, and the bitset kernel's 64-bit word
+// operations (ORs and AND-popcounts). Every count is a function of the
+// neighbor lists alone, so it is the same at every worker count.
+type buildWork struct {
+	bitRows, pairRows int
+	increments, words int64
+}
+
+func (w *buildWork) add(o buildWork) {
+	w.bitRows += o.bitRows
+	w.pairRows += o.pairRows
+	w.increments += o.increments
+	w.words += o.words
+}
+
+// build counts link(i,j) = |R(i) ∩ R(j)|, where R(i) = {l : i ∈ N(l)} is
+// the transpose of the neighbor lists, for every j > i, and mirrors each
+// count into row j. For symmetric lists R(i) = N(i); building the
+// transpose keeps the count exact for any list structure.
 //
-// The identity it exploits: link(i,j) = |{l : i ∈ N(l) ∧ j ∈ N(l)}|, the
-// paper's pair-counting total regrouped by row. Each worker owns
-// disjoint shards of contiguous rows; for row i it walks every list that
-// contains i (via a precomputed transpose of the neighbor lists, so the
-// result is exact even for asymmetric lists) and accumulates counts in a
-// dense scratch array — array increments instead of the map inserts of
-// the paper's serial loop, which is what makes this builder faster than
-// that loop even at one worker.
-// Per-shard outputs are concatenated in shard order, so the table is
-// deterministic and independent of the worker count. Total work is the
-// same O(Σ_l m_l²) as the serial algorithm, spread across workers.
-func FromNeighborsCSR(nb *similarity.Neighbors, workers int) *Compact {
+// One of two kernels counts every row of a build, picked by the memory
+// guard below:
+//
+//   - the bitset kernel ORs the forward bit rows F[l] (the bits of N(l))
+//     for l ∈ R(i) into the candidate set, then counts each candidate j
+//     as popcount(T[i] AND T[j]) over the transpose bit rows T (the bits
+//     of R(j)), with W = ⌈n/64⌉ words a row;
+//   - pair counting walks N(l) for every l ∈ R(i) and increments a dense
+//     scratch counter for each j > i.
+//
+// The bit rows take 2·n·W words of 8 bytes. They are built, and every
+// row counted on them, only when 2·n·W ≤ E, the number of list entries,
+// so they never take more bytes than the lists and their transpose (4
+// bytes an entry each). Sparse inputs therefore never allocate them and
+// count every row by pairs.
+//
+// Rows are claimed in chunks off chunkwork.Run; each chunk's upper rows
+// go to their own slot, and a serial pass assembles the CSR, so the
+// table is the same at every worker count.
+func build(nb *similarity.Neighbors, workers int) (*Compact, buildWork) {
 	n := nb.Len()
 	if n == 0 {
-		return &Compact{rowStart: make([]int64, 1)}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return &Compact{rowStart: make([]int64, 1)}, buildWork{}
 	}
 
 	// Transpose the neighbor relation: revCols[revStart[i]:revStart[i+1]]
 	// lists every l with i ∈ N(l), ascending (rows are filled in l order).
-	// For the symmetric built-in measures this equals N(i); building it
-	// costs O(E) and keeps the builder exact for any list structure.
-	revStart := make([]int32, n+1)
+	revStart := make([]int64, n+1)
 	for _, list := range nb.Lists {
 		for _, j := range list {
 			revStart[j+1]++
@@ -60,9 +82,9 @@ func FromNeighborsCSR(nb *similarity.Neighbors, workers int) *Compact {
 	for i := 0; i < n; i++ {
 		revStart[i+1] += revStart[i]
 	}
-	revCols := make([]int32, revStart[n])
-	pos := make([]int32, n)
-	copy(pos, revStart[:n])
+	entries := revStart[n]
+	revCols := make([]int32, entries)
+	pos := slices.Clone(revStart[:n])
 	for l, list := range nb.Lists {
 		for _, j := range list {
 			revCols[pos[j]] = int32(l)
@@ -70,33 +92,75 @@ func FromNeighborsCSR(nb *similarity.Neighbors, workers int) *Compact {
 		}
 	}
 
-	// Shards are contiguous row ranges; each worker drains the shard
-	// channel, writing only its own rows — no synchronization on output.
-	const shardRows = 128
-	numShards := (n + shardRows - 1) / shardRows
-	shardCols := make([][]int32, numShards)
-	shardCounts := make([][]int32, numShards)
-	rowLen := make([]int32, n)
+	words := (n + 63) / 64
+	var fwd, rev []uint64
+	if 2*int64(n)*int64(words) <= entries {
+		fwd = make([]uint64, n*words)
+		rev = make([]uint64, n*words)
+		for l, list := range nb.Lists {
+			for _, j := range list {
+				fwd[l*words+int(j>>6)] |= 1 << (uint(j) & 63)
+				rev[int(j)*words+l>>6] |= 1 << (uint(l) & 63)
+			}
+		}
+	}
 
-	shards := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			counts := make([]int32, n)
-			touched := make([]int32, 0, 512)
-			for s := range shards {
-				lo := s * shardRows
-				hi := lo + shardRows
-				if hi > n {
-					hi = n
-				}
-				var cols, cnts []int32
-				for i := lo; i < hi; i++ {
-					for _, l := range revCols[revStart[i]:revStart[i+1]] {
+	const chunk = chunkwork.DefaultChunk
+	upCols := make([][]int32, (n+chunk-1)/chunk)
+	upCounts := make([][]int32, len(upCols))
+	upLen := make([]int32, n)
+	var work buildWork
+	var mu sync.Mutex
+	chunkwork.Run(n, workers, chunk, func(next func() (int, int, bool)) {
+		var w buildWork
+		var counts []int32
+		var touched []int32
+		var cand []uint64
+		if fwd != nil {
+			cand = make([]uint64, words)
+		} else {
+			counts = make([]int32, n)
+		}
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+			var cols, cnts []int32
+			for i := lo; i < hi; i++ {
+				reach := revCols[revStart[i]:revStart[i+1]]
+				start := len(cols)
+				if fwd != nil {
+					// Candidates j > i: the OR of F[l] over l ∈ R(i), with
+					// the bits at or below i cleared.
+					w0 := i >> 6
+					c := cand[w0:]
+					clear(c)
+					for _, l := range reach {
+						f := fwd[int(l)*words+w0 : (int(l)+1)*words]
+						for k := range c {
+							c[k] |= f[k]
+						}
+					}
+					c[0] &^= uint64(2)<<(uint(i)&63) - 1
+					ti := rev[i*words : (i+1)*words]
+					for k, word := range c {
+						for word != 0 {
+							j := (w0+k)<<6 + bits.TrailingZeros64(word)
+							word &= word - 1
+							tj := rev[j*words : (j+1)*words]
+							cnt := 0
+							for x, t := range ti {
+								cnt += bits.OnesCount64(t & tj[x])
+							}
+							cols = append(cols, int32(j))
+							cnts = append(cnts, int32(cnt))
+						}
+					}
+					w.bitRows++
+					w.words += int64(len(reach))*int64(len(c)) + int64(len(cols)-start)*int64(words)
+				} else {
+					// Pair counting: each l ∈ R(i) links i to every j > i
+					// in N(l).
+					for _, l := range reach {
 						for _, j := range nb.Lists[l] {
-							if int(j) == i {
+							if int(j) <= i {
 								continue
 							}
 							if counts[j] == 0 {
@@ -106,36 +170,55 @@ func FromNeighborsCSR(nb *similarity.Neighbors, workers int) *Compact {
 						}
 					}
 					slices.Sort(touched)
-					rowLen[i] = int32(len(touched))
 					for _, j := range touched {
 						cols = append(cols, j)
 						cnts = append(cnts, counts[j])
+						w.increments += int64(counts[j])
 						counts[j] = 0
 					}
 					touched = touched[:0]
+					w.pairRows++
 				}
-				shardCols[s] = cols
-				shardCounts[s] = cnts
+				upLen[i] = int32(len(cols) - start)
 			}
-		}()
-	}
-	for s := 0; s < numShards; s++ {
-		shards <- s
-	}
-	close(shards)
-	wg.Wait()
+			upCols[lo/chunk] = cols
+			upCounts[lo/chunk] = cnts
+		}
+		mu.Lock()
+		work.add(w)
+		mu.Unlock()
+	})
 
-	// Assemble: prefix-sum the row lengths (in int64, so totals past 2^31
-	// entries stay exact), then concatenate the shard arenas in shard
-	// order — each arena already holds its rows in order.
-	c := &Compact{rowStart: rowStartFromLengths(rowLen)}
-	total := int(c.rowStart[n])
+	// Row i is its lower part, the entries (k, count) with i in the upper
+	// part of row k < i in ascending k, then its own upper part. Taking
+	// the upper parts in row order fills every lower part in order.
+	lens := slices.Clone(upLen)
+	for _, cols := range upCols {
+		for _, j := range cols {
+			lens[j]++
+		}
+	}
+	c := &Compact{rowStart: rowStartFromLengths(lens)}
+	total := c.rowStart[n]
 	c.cols = make([]int32, total)
 	c.counts = make([]int32, total)
-	off := 0
-	for s := 0; s < numShards; s++ {
-		copy(c.cols[off:], shardCols[s])
-		off += copy(c.counts[off:], shardCounts[s])
+	lower := slices.Clone(c.rowStart[:n])
+	for s, cols := range upCols {
+		cnts := upCounts[s]
+		off := 0
+		for i := s * chunk; i < min((s+1)*chunk, n); i++ {
+			end := off + int(upLen[i])
+			for k, j := range cols[off:end] {
+				p := lower[j]
+				c.cols[p] = int32(i)
+				c.counts[p] = cnts[off+k]
+				lower[j]++
+			}
+			up := c.rowStart[i+1] - int64(upLen[i])
+			copy(c.cols[up:], cols[off:end])
+			copy(c.counts[up:], cnts[off:end])
+			off = end
+		}
 	}
-	return c
+	return c, work
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/rockclust/rock/internal/dataset"
 	"github.com/rockclust/rock/internal/similarity"
+	"github.com/rockclust/rock/internal/synth"
 )
 
 // randomTransactions draws n transactions of 1..maxItems items over a
@@ -22,11 +23,85 @@ func randomTransactions(r *rand.Rand, n, maxItems, vocab int) []dataset.Transact
 	return ts
 }
 
-// The parallel sharded CSR builder must agree bit for bit with both
-// reference algorithms — the paper's serial pair counting and the dense
-// bitset-intersection oracle — across randomized workloads varying n, θ,
-// measure, self-inclusion and worker count. Run under -race this also
-// exercises the builder's sharding for data races.
+// kernelInput is a neighbor set that picks the builder's kernel by
+// itself: the work counts say which ran.
+type kernelInput struct {
+	name      string
+	nb        *similarity.Neighbors
+	symmetric bool // the Dense oracle applies
+	bits      bool // the bit rows fit the memory guard, so every row runs on bits
+}
+
+// plantedLabels returns n planted-label records over 4 classes, the
+// dense shape: at θ=0.5 each point has about n/4 neighbors.
+func plantedLabels(n int) []dataset.Transaction {
+	return synth.Labeled(synth.LabeledConfig{Records: n, Classes: 4, Attributes: 10, Alphabet: 5, Noise: 0.1, Seed: 1}).Trans
+}
+
+// kernelInputs returns the inputs that run each kernel:
+//   - dense planted labels (n=300, θ=0.5): bits;
+//   - sparse baskets (n=500, θ=0.6): 1,424 list entries, too few for
+//     the 8,000 words of bit rows, so every row counts pairs;
+//   - 300 planted-label records then 300 baskets on disjoint items
+//     (θ=0.5): the records' lists pay for the bit rows, so the baskets'
+//     short rows run on bits too;
+//   - random asymmetric lists (n=160), never symmetrized: l lists each
+//     j > l with probability 0.6 and each j < l with probability 0.05,
+//     so the forward and transpose bit rows differ and a kernel that
+//     confused them would miscount. Bits.
+func kernelInputs() []kernelInput {
+	records := plantedLabels(300)
+	mixed := append([]dataset.Transaction(nil), records...)
+	baskets := synth.Basket(synth.BasketConfig{Transactions: 300, Clusters: 30, TemplateItems: 15, TransactionSize: 8, Seed: 1})
+	for _, b := range baskets.Trans {
+		items := make([]dataset.Item, len(b))
+		for k, it := range b {
+			items[k] = it + 1000
+		}
+		mixed = append(mixed, dataset.NewTransaction(items...))
+	}
+
+	// The sparse input core's TestEngineWorkCounts merges.
+	sparse := synth.Basket(synth.BasketConfig{Transactions: 500, Clusters: 5, TemplateItems: 15, TransactionSize: 12, Seed: 1})
+
+	r := rand.New(rand.NewSource(5))
+	asym := &similarity.Neighbors{Lists: make([][]int32, 160)}
+	for l := range asym.Lists {
+		for j := range asym.Lists {
+			if j < l && r.Float64() < 0.05 || j > l && r.Float64() < 0.6 {
+				asym.Lists[l] = append(asym.Lists[l], int32(j))
+			}
+		}
+	}
+
+	return []kernelInput{
+		{"dense-labels n=300", similarity.ComputeIndexed(records, 0.5, similarity.Options{}), true, true},
+		{"sparse-baskets n=500", similarity.ComputeIndexed(sparse.Trans, 0.6, similarity.Options{}), true, false},
+		{"mixed n=600", similarity.ComputeIndexed(mixed, 0.5, similarity.Options{}), true, true},
+		{"dense asymmetric n=160", asym, false, true},
+	}
+}
+
+// checkKernels fails unless every row ran on the kernel the input is
+// meant to pick.
+func checkKernels(t *testing.T, in kernelInput, work buildWork) {
+	t.Helper()
+	bitRows, pairRows := 0, in.nb.Len()
+	if in.bits {
+		bitRows, pairRows = pairRows, bitRows
+	}
+	if work.bitRows != bitRows || work.pairRows != pairRows {
+		t.Fatalf("%s: %d bit rows, %d pair rows; want %d and %d",
+			in.name, work.bitRows, work.pairRows, bitRows, pairRows)
+	}
+}
+
+// The builder must agree bit for bit with both reference algorithms —
+// the paper's serial pair counting and the dense bitset-intersection
+// oracle — across randomized workloads varying n, θ, measure,
+// self-inclusion and worker count, and on the inputs that run each of
+// its kernels. Run under -race this also exercises the builder's
+// chunked rows for data races.
 func TestParallelCSRMatchesOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	measures := []struct {
@@ -62,7 +137,7 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 				trial, n, theta, me.name, includeSelf)
 		}
 		for _, w := range workerCounts {
-			par := FromNeighborsCSR(nb, w)
+			par := Build(nb, Options{Workers: w})
 			if !par.Equal(serial) {
 				t.Fatalf("trial %d (n=%d θ=%g %s self=%v workers=%d): parallel CSR differs from serial",
 					trial, n, theta, me.name, includeSelf, w)
@@ -70,6 +145,20 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 			if !par.Equal(dense) {
 				t.Fatalf("trial %d (n=%d θ=%g %s self=%v workers=%d): parallel CSR differs from dense oracle",
 					trial, n, theta, me.name, includeSelf, w)
+			}
+		}
+	}
+
+	for _, in := range kernelInputs() {
+		serial := CompactFrom(FromNeighbors(in.nb))
+		if in.symmetric && !serial.Equal(CompactFrom(Dense(in.nb))) {
+			t.Fatalf("%s: reference algorithms disagree", in.name)
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			got, work := build(in.nb, w)
+			checkKernels(t, in, work)
+			if !got.Equal(serial) {
+				t.Fatalf("%s workers=%d: Build differs from the oracles", in.name, w)
 			}
 		}
 	}
@@ -81,12 +170,12 @@ func TestParallelCSRWorkerInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ts := randomTransactions(r, 1200, 10, 40)
 	nb := similarity.ComputeIndexed(ts, 0.4, similarity.Options{})
-	want := FromNeighborsCSR(nb, 1)
+	want := Build(nb, Options{Workers: 1})
 	if !want.Equal(CompactFrom(FromNeighbors(nb))) {
 		t.Fatal("single-worker CSR differs from serial reference")
 	}
 	for _, w := range []int{2, 3, 4, 16, 64} {
-		if got := FromNeighborsCSR(nb, w); !got.Equal(want) {
+		if got := Build(nb, Options{Workers: w}); !got.Equal(want) {
 			t.Fatalf("workers=%d produced a different table", w)
 		}
 	}
@@ -94,8 +183,9 @@ func TestParallelCSRWorkerInvariance(t *testing.T) {
 
 // Build is the production link path at every input size, so it must
 // reproduce the paper's serial pair counting (FromNeighbors) directly —
-// from the degenerate sizes through a single shard (30) to several
-// (767, 818) — at every worker count.
+// from the degenerate sizes through a single chunk (30) to several
+// (767, 818), and on the inputs that run each kernel — at every worker
+// count.
 func TestBuildMatchesFromNeighbors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 30, 767, 818} {
@@ -108,9 +198,43 @@ func TestBuildMatchesFromNeighbors(t *testing.T) {
 			}
 		}
 	}
+	for _, in := range kernelInputs() {
+		want := CompactFrom(FromNeighbors(in.nb))
+		for _, w := range []int{1, 2, 4, 8} {
+			got, work := build(in.nb, w)
+			checkKernels(t, in, work)
+			if !got.Equal(want) {
+				t.Fatalf("%s workers=%d: Build differs from FromNeighbors", in.name, w)
+			}
+		}
+	}
 }
 
-// The transpose inside FromNeighborsCSR makes it exact even for
+// TestBuildWorkCounts pins the link work — rows counted by each kernel,
+// pair-counting increments and bitset words — on the dense and sparse
+// inputs core's TestEngineWorkCounts merges and on the mixed input. The
+// counts depend only on the lists, so a change to the memory guard or
+// to either kernel's work fails here without a wall-clock threshold.
+func TestBuildWorkCounts(t *testing.T) {
+	want := map[string]buildWork{
+		"dense-labels n=300":   {bitRows: 300, words: 121971},
+		"sparse-baskets n=500": {pairRows: 500, increments: 2888},
+		"mixed n=600":          {bitRows: 600, words: 284647},
+	}
+	for _, in := range kernelInputs() {
+		pin, ok := want[in.name]
+		if !ok {
+			continue
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			if _, work := build(in.nb, w); work != pin {
+				t.Errorf("%s workers=%d: work %+v, want %+v", in.name, w, work, pin)
+			}
+		}
+	}
+}
+
+// The transpose inside Build makes it exact even for
 // asymmetric neighbor lists (which no built-in measure produces, but the
 // pair-counting definition permits): it must match FromNeighbors, whose
 // contract is pair counting, not the symmetric-only Dense oracle.
@@ -123,17 +247,17 @@ func TestParallelCSRAsymmetricLists(t *testing.T) {
 	}}
 	want := CompactFrom(FromNeighbors(nb))
 	for _, w := range []int{1, 2, 4} {
-		if got := FromNeighborsCSR(nb, w); !got.Equal(want) {
+		if got := Build(nb, Options{Workers: w}); !got.Equal(want) {
 			t.Fatalf("workers=%d: asymmetric lists mishandled", w)
 		}
 	}
 }
 
-// Paper example sanity directly through the parallel builder.
+// Paper example sanity directly through the builder.
 func TestParallelCSRPaperExample(t *testing.T) {
 	ts := paperTransactions()
 	nb := similarity.Compute(ts, 0.5, similarity.Options{})
-	lt := FromNeighborsCSR(nb, 4)
+	lt := Build(nb, Options{Workers: 4})
 	within := lt.Get(0, 1)
 	across := lt.Get(0, 10)
 	if across >= within {
