@@ -14,7 +14,7 @@ import (
 // pair. The production labeler asks one similarity.Index, built over the
 // labeled points of every L_i flattened into one slice, for the
 // candidate's θ-neighbors and tallies them per set. The index answers
-// exactly for every measure and θ (it scans item postings for a built-in
+// exactly for every measure and θ (it reads item postings for a built-in
 // measure at θ > 0 and falls back to the pairwise scan otherwise; the
 // exactness argument is on similarity.Index), so each N_i equals the
 // reference's count, and the score and tie rule below reproduce the

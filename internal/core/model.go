@@ -249,12 +249,23 @@ func (m *Model) String() string {
 // concurrently.
 //
 // The query must use the model's item id space; for a dataset read under
-// its own vocabulary, use AssignDataset.
+// its own vocabulary, use AssignDataset. A query that is not canonical,
+// unsorted or with a repeated item, is answered as its canonical form.
 func (m *Model) Assign(t dataset.Transaction) int {
 	sc := m.scratch.Get().(*labelScratch)
-	ci := m.lb.label(t, sc)
+	ci := m.lb.label(canonical(t), sc)
 	m.scratch.Put(sc)
 	return ci
+}
+
+// canonical returns t when it is strictly ascending, and otherwise its
+// sorted, deduplicated copy: the index counts a query by its distinct
+// items.
+func canonical(t dataset.Transaction) dataset.Transaction {
+	if t.Valid() {
+		return t
+	}
+	return dataset.NewTransaction(t...)
 }
 
 // AssignBatch assigns every query transaction, sharding across workers
@@ -263,13 +274,13 @@ func (m *Model) Assign(t dataset.Transaction) int {
 // serial loop, where goroutine handoff would cost more than it saves.
 // Queries are independent, so the output is byte-identical for every
 // worker count and either path — assignments in query order, exactly as
-// if Assign had been called serially.
+// if Assign had been called serially, non-canonical queries included.
 func (m *Model) AssignBatch(ts []dataset.Transaction, workers int) []int {
 	serialBelow := m.batchSerialBelow
 	if serialBelow == 0 {
 		serialBelow = labelSerialCutoff
 	}
-	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return ts[i] }, workers, serialBelow,
+	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return canonical(ts[i]) }, workers, serialBelow,
 		func() *labelScratch { return m.scratch.Get().(*labelScratch) },
 		func(sc *labelScratch) { m.scratch.Put(sc) })
 }

@@ -237,6 +237,58 @@ func TestModelAssignConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestModelAssignNonCanonicalQuery: Assign and AssignBatch answer an
+// unsorted query, or one that repeats an item, as its canonical form,
+// and so as the pairwise reference does. The first model's queries run
+// the index's full count. In the second, item 100 is held by every
+// labeled point but lies in no point's prefix, so a query holding it
+// probes.
+func TestModelAssignNonCanonicalQuery(t *testing.T) {
+	tr := func(items ...dataset.Item) dataset.Transaction { return items }
+	hub := []dataset.Transaction{tr(1, 2, 3, 100), tr(1, 2, 4, 100), tr(1, 3, 4, 100), tr(5, 6, 7, 100), tr(5, 6, 8, 100), tr(5, 7, 8, 100)}
+	var fillers []int
+	for k := dataset.Item(0); k < 40; k++ {
+		fillers = append(fillers, len(hub))
+		hub = append(hub, tr(100, 200+3*k, 201+3*k, 202+3*k))
+	}
+	for _, c := range []struct {
+		name    string
+		ts      []dataset.Transaction
+		sets    [][]int
+		queries []dataset.Transaction
+	}{
+		{"full count",
+			[]dataset.Transaction{tr(1, 2, 3, 4), tr(1, 2, 3, 5), tr(1, 2, 4, 5), tr(6, 7, 8, 9), tr(6, 7, 8, 10), tr(6, 7, 9, 10)},
+			[][]int{{0, 1, 2}, {3, 4, 5}},
+			[]dataset.Transaction{tr(1, 1, 1, 6, 7), tr(1, 6, 6, 6, 7), tr(7, 6, 1), tr(4, 3, 2, 1), tr(10, 9, 8, 6, 6)}},
+		{"prefix probe",
+			hub,
+			[][]int{{0, 1, 2}, {3, 4, 5}, fillers},
+			[]dataset.Transaction{tr(100, 2, 1), tr(1, 1, 2, 100), tr(1, 2, 100, 100), tr(8, 7, 5, 100), tr(100, 202, 201, 201)}},
+	} {
+		m, err := FreezeSets(c.ts, c.sets, nil, 0.5, 0.5, similarity.Jaccard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, len(c.queries))
+		for i, q := range c.queries {
+			want[i] = labelPoint(dataset.NewTransaction(q...), c.ts, c.sets, 0.5, 0.5, similarity.Jaccard)
+			if got := m.Assign(q); got != want[i] {
+				t.Errorf("%s: Assign(%v) = %d, want %d", c.name, q, got, want[i])
+			}
+		}
+		m.batchSerialBelow = -1
+		for _, workers := range modelWorkerCounts {
+			if got := m.AssignBatch(c.queries, workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: AssignBatch = %v, want %v", c.name, workers, got, want)
+			}
+		}
+		if c.name == "full count" && (want[0] != -1 || want[1] != -1) {
+			t.Errorf("the canonical form {1,6,7} matches: reference %v", want[:2])
+		}
+	}
+}
+
 // TestModelSaveLoadRoundTrip: Save → Load → Save must be byte-identical,
 // and the loaded model must answer every query exactly as the original —
 // with and without a frozen vocabulary.

@@ -192,8 +192,8 @@ func TestBenchNeighborsQuick(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Quick || rep.Long || len(rep.Rows) != 2 {
-		t.Fatalf("unexpected report shape: quick=%v long=%v rows=%d", rep.Quick, rep.Long, len(rep.Rows))
+	if host := reportHost(t, buf.Bytes()); !rep.Quick || rep.Long || host == "" || len(rep.Rows) != 2 {
+		t.Fatalf("unexpected report shape: quick=%v long=%v host=%q rows=%d", rep.Quick, rep.Long, host, len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
 		if row.ExactSec <= 0 || row.RefSec <= 0 || row.LSHSec <= 0 {

@@ -13,9 +13,9 @@ import (
 )
 
 // NeighborBenchRow is one point of the neighbor-phase sweep: the exact
-// inverted index against the prototype map-based LSH and the sort-based
-// sharded pipeline, on the hub-heavy basket workload where the exact
-// index degrades toward O(n²).
+// θ-query index against the prototype map-based LSH and the sort-based
+// sharded pipeline, on the hub-heavy basket workload whose hub postings
+// grow with n.
 type NeighborBenchRow struct {
 	N     int     `json:"n"`
 	Theta float64 `json:"theta"`
@@ -58,6 +58,7 @@ type NeighborBenchChunked struct {
 
 // NeighborBenchReport is the BENCH_neighbors.json payload.
 type NeighborBenchReport struct {
+	Host       string                `json:"host"`
 	GOMAXPROCS int                   `json:"gomaxprocs"`
 	NumCPU     int                   `json:"numcpu"`
 	Quick      bool                  `json:"quick"`
@@ -69,10 +70,10 @@ type NeighborBenchReport struct {
 
 // neighborBenchData builds the hub-heavy basket workload: a pool of
 // universally popular noise items whose posting lists grow linearly with
-// n, so the exact inverted index slides toward O(n²) candidate work,
-// while cluster count scales with n to keep the true neighbor graph
-// sparse. This is the regime (realistic for market baskets) where
-// approximate neighbors earn their keep.
+// n, so a full postings count slides toward O(n²) candidate work, while
+// cluster count scales with n to keep the true neighbor graph sparse.
+// The exact index escapes it by probing each basket's rare items; this
+// is the regime (realistic for market baskets) LSH was built for.
 func neighborBenchData(n int, seed int64) []dataset.Transaction {
 	clusters := n / 200
 	if clusters < 5 {
@@ -90,15 +91,14 @@ func neighborBenchData(n int, seed int64) []dataset.Transaction {
 	return d.Trans
 }
 
-// BenchNeighbors times the neighbor phase three ways — exact inverted
+// BenchNeighbors times the neighbor phase three ways — the exact θ-query
 // index (ComputeIndexed), prototype map-based LSH (ComputeLSHReference),
 // sort-based sharded LSH pipeline (ComputeLSH) — and writes the result
-// as JSON: the perf-trajectory record behind `rockbench -neighbors`.
-// Recall is measured exactly wherever the exact index is feasible. With
-// Options.Long the sweep adds a 10⁶-point pipeline-only row (comparators
-// skipped: the prototype's maps and the index's hub postings are the
-// problem being escaped) and an end-to-end ChunkedCluster run at 10⁶
-// through the LSH path.
+// as JSON, with the host it ran on: the perf-trajectory record behind
+// `rockbench -neighbors`. Recall is measured exactly wherever the exact
+// index runs. With Options.Long the sweep adds a 10⁶-point
+// pipeline-only row (comparators skipped) and an end-to-end
+// ChunkedCluster run at 10⁶ through the LSH path.
 func BenchNeighbors(w io.Writer, opts Options) error {
 	ns := []int{10000, 30000, 100000}
 	if opts.Quick {
@@ -111,14 +111,15 @@ func BenchNeighbors(w io.Writer, opts Options) error {
 	}
 
 	report := NeighborBenchReport{
+		Host:       hostName(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      opts.Quick,
 		Long:       opts.Long,
 		Notes: []string{
 			cpuNote(),
-			"workload: hub-heavy baskets (15 universal noise items, rate 0.15) with n/200 clusters — hub posting lists grow with n, degrading the exact index toward O(n²) candidate work.",
-			"exact is the counted inverted index ComputeIndexed; ref is the prototype map-based ComputeLSHReference; lsh is the sort-based sharded pipeline ComputeLSH (96 hashes / 32 bands, θ=0.45; neighbor lists byte-identical to ref, see TestLSHOracle).",
+			"workload: hub-heavy baskets (15 universal noise items, rate 0.15) with n/200 clusters — hub posting lists grow with n, so a full postings count tends to O(n²) candidate work.",
+			"exact is ComputeIndexed on the exact θ-query index, which probes each basket's rarest items when that reads fewer postings; ref is the prototype map-based ComputeLSHReference; lsh is the sort-based sharded pipeline ComputeLSH (96 hashes / 32 bands, θ=0.45; neighbor lists byte-identical to ref, see TestLSHOracle).",
 			"recall_measured=true rows compare every exact edge against the pipeline's lists; the million-point row reports the pipeline's own sampled-recall ledger instead.",
 			"timings are best-of-3 below n=10⁵ and single-run at or above it.",
 		},

@@ -1,6 +1,9 @@
 package similarity
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/rockclust/rock/internal/dataset"
 )
 
@@ -12,30 +15,104 @@ import (
 //
 // Exactness. Every built-in measure is a pure function of
 // (|t ∩ q|, |t|, |q|), and its counted form is the measure's own
-// implementation (counted.go), so a postings scan that yields the
-// intersection size decides sim ≥ θ bit-identically to the pairwise
-// evaluation. A pair the scan never touches has |t ∩ q| = 0, where all
-// four built-ins score 0, so skipping it is exact for θ > 0. A custom
-// measure may be positive on disjoint transactions, and at θ ≤ 0 every
-// pair passes, so those queries evaluate the measure against every
-// indexed transaction instead. The choice changes the cost, never the
-// answer.
+// implementation (counted.go), so an index that yields the intersection
+// size decides sim ≥ θ bit-identically to the pairwise evaluation. A
+// pair that shares no item scores 0 under all four built-ins, so
+// skipping it is exact for θ > 0. A custom measure may be positive on
+// disjoint transactions, and at θ ≤ 0 every pair passes, so those
+// queries evaluate the measure against every indexed transaction
+// instead.
+//
+// A built-in-measure query at θ > 0 takes one of two paths, chosen per
+// query from posting lengths the index holds:
+//
+//   - the full count reads every posting of every query item into an
+//     intersection counter per indexed transaction;
+//   - the prefix probe reads only the postings of the query's rarest
+//     items, only where the item lies in the indexed transaction's own
+//     prefix, and counts each candidate met there exactly.
+//
+// Items are ranked by ascending frequency over the indexed
+// transactions, ties to the smaller id; a query item no indexed
+// transaction holds ranks before all of them. Let cm be the counted
+// form. α_x(l) is the least o in [1, l] with cm(o, o, l) ≥ θ, and an
+// indexed transaction of length l keeps its first l − α_x(l) + 1 items
+// in rank order as its prefix. α_q(l) is the least o in [1, l] with
+// cm(o, l, o) ≥ θ, and a length-l query probes its first l − α_q(l) + 1
+// items. Where no o passes, α is l + 1 and the prefix is empty.
+//
+// Why the probe finds every answer. Each built-in counted form is
+// non-decreasing in the overlap and non-increasing in each length, the
+// other arguments fixed, in float64 too: its operands are small exact
+// integers, and IEEE division and square root are monotone. A pair
+// (q, x) that passes has overlap o ≤ min(|q|, |x|), so
+// cm(o, o, |x|) ≥ cm(o, |q|, |x|) ≥ θ gives o ≥ α_x(|x|), and likewise
+// o ≥ α_q(|q|). The shared item that ranks first has at most |x| − o
+// items of x after it, so it lies within x's prefix, and within q's by
+// the same count: the probe meets x. A candidate whose lengths admit no
+// passing overlap, cm(min(|q|, |x|), |q|, |x|) < θ, is skipped uncounted.
+// Overlap's α is 1, so its prefixes are whole transactions. Both paths
+// compare a count with its threshold, the least overlap the counted
+// form passes for the two lengths: by the same monotonicity, a count
+// passes exactly when it reaches it.
+//
+// The choice. Let full be the postings the query's items hold and pref
+// the prefix postings they hold, and L the longest indexed transaction.
+// A probe reads at most pref postings and counts at most pref
+// candidates at L reads each, so the index probes only when
+// pref·(1+L) < full, and never reads more entries than the count it
+// replaces. The choice changes the cost, never the answer.
 type Index struct {
 	ts    []dataset.Transaction
 	theta float64
 	sim   Measure
-	// cm is the measure's counted form when queries scan postings, nil
-	// when they run pairwise.
+	// cm is the measure's counted form when queries use the postings,
+	// nil when they run pairwise.
 	cm CountedMeasure
 
-	// postings[it] lists, ascending, the ids of the transactions holding
-	// item it. It is sized by the largest id, so when ids are sparse
-	// relative to the data (or negative) postingsMap holds the same lists
-	// instead, keeping the index linear in the data whatever ids a caller
-	// or a crafted model file supplies. On the postings scan exactly one
-	// of the two is non-nil.
-	postings    [][]int32
-	postingsMap map[dataset.Item][]int32
+	// rank[it] is item it's rank, -1 when no indexed transaction holds
+	// it. The array is sized by the largest id, so when ids are sparse
+	// relative to the data (or negative) rankMap holds the held items'
+	// ranks instead, keeping the index linear in the data whatever ids a
+	// caller or a crafted model file supplies. On the postings path
+	// exactly one of the two is non-nil.
+	rank    []int32
+	rankMap map[dataset.Item]int32
+
+	// post[seg[2r]:seg[2r+2]] lists the transactions holding the item of
+	// rank r: first, ascending, those whose prefix holds it (up to
+	// seg[2r+1]), then, ascending, the rest.
+	seg  []int
+	post []int32
+
+	// xr[xoff[j]:xoff[j+1]] are the ranks of ts[j]'s items, ascending.
+	xoff   []int
+	xr     []int32
+	maxLen int // L, the longest indexed transaction
+}
+
+// indexAlpha is α_x(l): the least overlap o in [1, l] with
+// cm(o, o, l) ≥ θ, or l+1 when none passes. An indexed transaction of
+// length l keeps its first l − indexAlpha(l) + 1 items as its prefix.
+func indexAlpha(cm CountedMeasure, theta float64, l int) int {
+	for o := 1; o <= l; o++ {
+		if cm(o, o, l) >= theta {
+			return o
+		}
+	}
+	return l + 1
+}
+
+// queryAlpha is α_q(l): the least overlap o in [1, l] with
+// cm(o, l, o) ≥ θ, or l+1 when none passes. A length-l query probes its
+// first l − queryAlpha(l) + 1 items.
+func queryAlpha(cm CountedMeasure, theta float64, l int) int {
+	for o := 1; o <= l; o++ {
+		if cm(o, l, o) >= theta {
+			return o
+		}
+	}
+	return l + 1
 }
 
 // NewIndex builds the index over ts for threshold theta and measure m
@@ -55,6 +132,7 @@ func NewIndex(ts []dataset.Transaction, theta float64, m Measure) *Index {
 	nitems, occurrences, negative := 0, 0, false
 	for _, t := range ts {
 		occurrences += len(t)
+		ix.maxLen = max(ix.maxLen, len(t))
 		for _, it := range t {
 			if it < 0 {
 				negative = true
@@ -63,41 +141,144 @@ func NewIndex(ts []dataset.Transaction, theta float64, m Measure) *Index {
 			}
 		}
 	}
-	// Vocabulary-interned ids always take the dense array: their id
-	// space is within a small factor of the item occurrences it indexes.
+
+	// Rank the held items by (frequency, id). Vocabulary-interned ids
+	// always take the dense array: their id space is within a small
+	// factor of the item occurrences it indexes.
+	var items []dataset.Item
+	var freq func(dataset.Item) int32
 	if !negative && nitems <= 4*occurrences+1024 {
-		ix.postings = make([][]int32, nitems)
-		for j, t := range ts {
+		ix.rank = make([]int32, nitems) // frequencies until ranked
+		for _, t := range ts {
 			for _, it := range t {
-				ix.postings[it] = append(ix.postings[it], int32(j))
+				ix.rank[it]++
 			}
 		}
-		return ix
-	}
-	ix.postingsMap = make(map[dataset.Item][]int32, occurrences)
-	for j, t := range ts {
-		for _, it := range t {
-			ix.postingsMap[it] = append(ix.postingsMap[it], int32(j))
+		for it, f := range ix.rank {
+			if f > 0 {
+				items = append(items, dataset.Item(it))
+			}
 		}
+		freq = func(it dataset.Item) int32 { return ix.rank[it] }
+	} else {
+		ix.rankMap = make(map[dataset.Item]int32, occurrences)
+		for _, t := range ts {
+			for _, it := range t {
+				ix.rankMap[it]++
+			}
+		}
+		for it := range ix.rankMap {
+			items = append(items, it)
+		}
+		freq = func(it dataset.Item) int32 { return ix.rankMap[it] }
+	}
+	slices.SortFunc(items, func(a, b dataset.Item) int {
+		return cmp.Or(cmp.Compare(freq(a), freq(b)), cmp.Compare(a, b))
+	})
+	// seg[2r+2] counts rank r's postings and seg[2r+1] its prefix
+	// postings until the offsets are summed below.
+	ix.seg = make([]int, 2*len(items)+1)
+	for r, it := range items {
+		ix.seg[2*r+2] = int(freq(it))
+	}
+	if ix.rank != nil {
+		for it := range ix.rank {
+			ix.rank[it] = -1
+		}
+		for r, it := range items {
+			ix.rank[it] = int32(r)
+		}
+	} else {
+		for r, it := range items {
+			ix.rankMap[it] = int32(r)
+		}
+	}
+
+	// Each transaction's ranks, ascending, and its prefix postings.
+	prefix := make([]int, ix.maxLen+1) // prefix length by transaction length
+	for l := range prefix {
+		prefix[l] = l - indexAlpha(ix.cm, theta, l) + 1
+	}
+	ix.xoff = make([]int, len(ts)+1)
+	ix.xr = make([]int32, occurrences)
+	for j, t := range ts {
+		x := ix.xr[ix.xoff[j] : ix.xoff[j]+len(t)]
+		ix.xoff[j+1] = ix.xoff[j] + len(t)
+		for k, it := range t {
+			x[k] = ix.rankOf(it)
+		}
+		slices.Sort(x)
+		for _, r := range x[:prefix[len(x)]] {
+			ix.seg[2*r+1]++
+		}
+	}
+
+	// Offsets, then the postings. fill[r] is rank r's next prefix slot
+	// and seg[2r+1] its next slot among the rest, until it is reset.
+	fill := make([]int, len(items))
+	at := 0
+	for r := range items {
+		n, np := ix.seg[2*r+2], ix.seg[2*r+1]
+		ix.seg[2*r], fill[r], ix.seg[2*r+1] = at, at, at+np
+		at += n
+	}
+	ix.seg[2*len(items)] = at
+	ix.post = make([]int32, occurrences)
+	for j := range ts {
+		x := ix.xr[ix.xoff[j]:ix.xoff[j+1]]
+		p := prefix[len(x)]
+		for _, r := range x[:p] {
+			ix.post[fill[r]] = int32(j)
+			fill[r]++
+		}
+		for _, r := range x[p:] {
+			ix.post[ix.seg[2*r+1]] = int32(j)
+			ix.seg[2*r+1]++
+		}
+	}
+	for r := range items {
+		ix.seg[2*r+1] = fill[r]
 	}
 	return ix
 }
 
+// rankOf returns item it's rank, -1 when no indexed transaction holds it.
+func (ix *Index) rankOf(it dataset.Item) int32 {
+	if ix.rankMap != nil {
+		if r, ok := ix.rankMap[it]; ok {
+			return r
+		}
+		return -1
+	}
+	if it >= 0 && int(it) < len(ix.rank) {
+		return ix.rank[it]
+	}
+	return -1
+}
+
 // Pairwise reports whether queries evaluate the measure against every
-// indexed transaction (a custom measure, or θ ≤ 0) rather than scanning
+// indexed transaction (a custom measure, or θ ≤ 0) rather than reading
 // item postings.
 func (ix *Index) Pairwise() bool { return ix.cm == nil }
 
-// SparsePostings reports whether the postings are keyed by a map because
+// SparsePostings reports whether item ranks are keyed by a map because
 // the indexed item ids are sparse or negative.
-func (ix *Index) SparsePostings() bool { return ix.postingsMap != nil }
+func (ix *Index) SparsePostings() bool { return ix.rankMap != nil }
 
-// Scratch is the reusable per-goroutine state of Index.Query: an
-// intersection counter per indexed transaction and the ids whose counter
-// the current query raised. Query leaves it cleared.
+// Scratch is the reusable per-goroutine state of Index.Query: a counter
+// per indexed transaction with the ids whose counter the current query
+// raised, the query's item ranks, and a mark per item rank, which Query
+// leaves cleared; the pass thresholds of recent query lengths; and the
+// work of every query it served.
 type Scratch struct {
 	counts  []int32
 	touched []int32
+	ranks   []int32
+	mark    []uint8
+	// need[lx] is the least count that passes for a query of length
+	// needLq[lx]−1 and an indexed transaction of length lx.
+	need, needLq []int32
+	work         queryWork
 }
 
 // NewScratch returns scratch for queries on ix. One Scratch serves one
@@ -107,14 +288,37 @@ func (ix *Index) NewScratch() *Scratch {
 	if ix.cm == nil {
 		return &Scratch{}
 	}
-	return &Scratch{counts: make([]int32, len(ix.ts)), touched: make([]int32, 0, 256)}
+	return &Scratch{
+		counts:  make([]int32, len(ix.ts)),
+		touched: make([]int32, 0, 256),
+		mark:    make([]uint8, len(ix.seg)/2),
+		need:    make([]int32, ix.maxLen+1),
+		needLq:  make([]int32, ix.maxLen+1),
+	}
+}
+
+// threshold returns the least overlap o with cm(o, lq, lx) ≥ θ, or
+// min(lq, lx)+1 when none passes. The counted form is non-decreasing in
+// the overlap, so a count c passes exactly when c ≥ threshold; sc keeps
+// it per lx for the last lq it was asked with.
+func (ix *Index) threshold(sc *Scratch, lq, lx int) int32 {
+	if sc.needLq[lx] == int32(lq)+1 {
+		return sc.need[lx]
+	}
+	o, m := 1, min(lq, lx)
+	for o <= m && ix.cm(o, lq, lx) < ix.theta {
+		o++
+	}
+	sc.need[lx], sc.needLq[lx] = int32(o), int32(lq)+1
+	return int32(o)
 }
 
 // Query appends to dst the id of every indexed transaction q with
-// sim(t, q) ≥ θ and returns the extended slice. The pairwise scan
-// appends ids in ascending order, the postings scan in the order it
-// first meets them. A query item no indexed transaction holds, unknown
-// or negative, matches nothing.
+// sim(t, q) ≥ θ and returns the extended slice. t must be canonical,
+// strictly ascending; its ids may be negative. The pairwise scan
+// appends ids in ascending order, the postings paths in the order they
+// first meet them. A query item no indexed transaction holds, unknown
+// or negative, matches nothing but counts in |t|.
 func (ix *Index) Query(t dataset.Transaction, sc *Scratch, dst []int32) []int32 {
 	if ix.cm == nil {
 		for j, q := range ix.ts {
@@ -124,26 +328,153 @@ func (ix *Index) Query(t dataset.Transaction, sc *Scratch, dst []int32) []int32 
 		}
 		return dst
 	}
+	return ix.query(t, sc, dst, int32(len(ix.ts)))
+}
+
+// queryWork counts the work of postings queries: queries on each path,
+// posting entries read, and candidates the counted form decided. Every
+// count is a function of the index and the queries alone. Each query
+// adds its own to its Scratch.
+type queryWork struct {
+	probes, fulls     int
+	reads, candidates int64
+}
+
+func (w *queryWork) add(o queryWork) {
+	w.probes += o.probes
+	w.fulls += o.fulls
+	w.reads += o.reads
+	w.candidates += o.candidates
+}
+
+// query is Query on the postings paths, restricted to the indexed ids
+// below below.
+func (ix *Index) query(t dataset.Transaction, sc *Scratch, dst []int32, below int32) []int32 {
+	ranks := sc.ranks[:0]
+	full, pref := 0, 0
 	for _, it := range t {
-		var plist []int32
-		if ix.postingsMap != nil {
-			plist = ix.postingsMap[it]
-		} else if it >= 0 && int(it) < len(ix.postings) {
-			plist = ix.postings[it]
+		r := ix.rankOf(it)
+		ranks = append(ranks, r)
+		if r >= 0 {
+			full += ix.seg[2*r+2] - ix.seg[2*r]
+			pref += ix.seg[2*r+1] - ix.seg[2*r]
 		}
+	}
+	sc.ranks = ranks
+	if pref*(1+ix.maxLen) < full {
+		return ix.probe(len(t), sc, dst, below)
+	}
+
+	w := &sc.work
+	w.fulls++
+	cut := int(below) < len(ix.ts)
+	for _, r := range ranks {
+		if r < 0 {
+			continue
+		}
+		lo, mid, hi := ix.seg[2*r], ix.seg[2*r+1], ix.seg[2*r+2]
+		if !cut {
+			w.reads += sc.tally(ix.post[lo:hi])
+			continue
+		}
+		w.reads += sc.tally(lowerPart(ix.post[lo:mid], below))
+		w.reads += sc.tally(lowerPart(ix.post[mid:hi], below))
+	}
+	w.candidates += int64(len(sc.touched))
+	lq, counts, xoff := len(t), sc.counts, ix.xoff
+	need, needLq := sc.need, sc.needLq
+	for _, j := range sc.touched {
+		lx := xoff[j+1] - xoff[j]
+		c := need[lx]
+		if needLq[lx] != int32(lq)+1 {
+			c = ix.threshold(sc, lq, lx)
+		}
+		if counts[j] >= c {
+			dst = append(dst, j)
+		}
+		counts[j] = 0
+	}
+	sc.touched = sc.touched[:0]
+	return dst
+}
+
+// tally raises the counter of every id in plist and returns its length.
+func (sc *Scratch) tally(plist []int32) int64 {
+	counts, touched := sc.counts, sc.touched // locals stay in registers
+	for _, j := range plist {
+		if counts[j] == 0 {
+			touched = append(touched, j)
+		}
+		counts[j]++
+	}
+	sc.touched = touched
+	return int64(len(plist))
+}
+
+// lowerPart returns the ids of the ascending list plist that lie below
+// below.
+func lowerPart(plist []int32, below int32) []int32 {
+	k, _ := slices.BinarySearch(plist, below)
+	return plist[:k]
+}
+
+// probe is the prefix probe over the query whose ranks sc.ranks holds:
+// it reads the prefix postings of the query's first lq − α_q(lq) + 1
+// items in rank order and counts each candidate it meets by its marked
+// ranks, unless the two lengths admit no passing overlap. sc.counts
+// marks the candidates already met.
+func (ix *Index) probe(lq int, sc *Scratch, dst []int32, below int32) []int32 {
+	w := &sc.work
+	w.probes++
+	p := lq - queryAlpha(ix.cm, ix.theta, lq) + 1
+	if p <= 0 {
+		return dst
+	}
+	ranks := sc.ranks
+	slices.Sort(ranks)
+	for _, r := range ranks {
+		if r >= 0 {
+			sc.mark[r] = 1
+		}
+	}
+	for _, r := range ranks[:p] {
+		if r < 0 {
+			continue
+		}
+		plist := ix.post[ix.seg[2*r]:ix.seg[2*r+1]]
+		if int(below) < len(ix.ts) {
+			plist = lowerPart(plist, below)
+		}
+		w.reads += int64(len(plist))
 		for _, j := range plist {
-			if sc.counts[j] == 0 {
-				sc.touched = append(sc.touched, j)
+			if sc.counts[j] != 0 {
+				continue
 			}
-			sc.counts[j]++
+			sc.counts[j] = 1
+			sc.touched = append(sc.touched, j)
+			x := ix.xr[ix.xoff[j]:ix.xoff[j+1]]
+			need := ix.threshold(sc, lq, len(x))
+			if int(need) > min(lq, len(x)) { // the length filter
+				continue
+			}
+			w.candidates++
+			o := int32(0)
+			for _, s := range x {
+				o += int32(sc.mark[s])
+			}
+			if o >= need {
+				dst = append(dst, j)
+			}
 		}
 	}
 	for _, j := range sc.touched {
-		if ix.cm(int(sc.counts[j]), len(t), len(ix.ts[j])) >= ix.theta {
-			dst = append(dst, j)
-		}
 		sc.counts[j] = 0
 	}
 	sc.touched = sc.touched[:0]
+	for _, r := range ranks {
+		if r >= 0 {
+			sc.mark[r] = 0
+		}
+	}
 	return dst
 }

@@ -65,8 +65,9 @@ type LSHOptions struct {
 
 // DefaultRecallSample is the number of rows sampled for the recall
 // estimate when LSHOptions.RecallSample is zero. The estimate queries an
-// Index, which scans item postings for the built-in measures, so its cost
-// is a few posting-list scans — negligible next to the pipeline itself.
+// Index, which answers the built-in measures from item postings, so its
+// cost is a few postings queries — negligible next to the pipeline
+// itself.
 const DefaultRecallSample = 64
 
 // withDefaults resolves the banding parameters. The rule: Bands is

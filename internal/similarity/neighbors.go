@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/rockclust/rock/internal/chunkwork"
 	"github.com/rockclust/rock/internal/dataset"
@@ -104,28 +105,107 @@ func Compute(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
 }
 
 // ComputeIndexed builds the same neighbor lists as Compute by querying an
-// Index over ts with every row, so it is exact for every measure and
-// every θ. For a built-in measure at θ > 0 the index examines only pairs
-// that share an item, at O(1) each through the counted form; a custom
-// measure, or θ ≤ 0, evaluates every pair as Compute does.
+// Index over ts, so it is exact for every measure and every θ. For a
+// built-in measure at θ > 0 row i queries only the ids below i: a
+// built-in measure is symmetric, so a serial pass mirrors each lower
+// half into the rows above it. A custom measure, which may be
+// asymmetric, or θ ≤ 0 evaluates every pair as Compute does.
 func ComputeIndexed(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
+	nb, _ := computeIndexed(ts, theta, opts)
+	return nb
+}
+
+// computeIndexed is ComputeIndexed returning the index's work as well.
+func computeIndexed(ts []dataset.Transaction, theta float64, opts Options) (*Neighbors, queryWork) {
+	const chunk = 64
+	n := len(ts)
 	ix := NewIndex(ts, theta, opts.Measure)
-	nb := &Neighbors{Lists: make([][]int32, len(ts))}
-	chunkwork.Run(len(ts), opts.workers(), 64, func(next func() (int, int, bool)) {
-		sc := ix.NewScratch() // per-worker scratch
-		var row []int32
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				row = ix.Query(ts[i], sc, row[:0])
-				if k := slices.Index(row, int32(i)); k >= 0 && !opts.IncludeSelf {
-					row = slices.Delete(row, k, k+1)
-				}
-				if len(row) > 0 {
-					slices.Sort(row)
-					nb.Lists[i] = slices.Clone(row)
+	nb := &Neighbors{Lists: make([][]int32, n)}
+	if ix.Pairwise() {
+		chunkwork.Run(n, opts.workers(), chunk, func(next func() (int, int, bool)) {
+			var row []int32
+			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+				for i := lo; i < hi; i++ {
+					row = ix.Query(ts[i], nil, row[:0]) // ascending
+					if k := slices.Index(row, int32(i)); k >= 0 && !opts.IncludeSelf {
+						row = slices.Delete(row, k, k+1)
+					}
+					if len(row) > 0 {
+						nb.Lists[i] = slices.Clone(row)
+					}
 				}
 			}
+		})
+		return nb, queryWork{}
+	}
+
+	// lower[c] holds the lower halves of chunk c's rows back to back,
+	// each sorted; lowLen[i] is row i's length.
+	lower := make([][]int32, (n+chunk-1)/chunk)
+	lowLen := make([]int32, n)
+	var work queryWork
+	var mu sync.Mutex
+	chunkwork.Run(n, opts.workers(), chunk, func(next func() (int, int, bool)) {
+		sc := ix.NewScratch() // per-worker scratch
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+			var cols []int32
+			for i := lo; i < hi; i++ {
+				start := len(cols)
+				cols = ix.query(ts[i], sc, cols, int32(i))
+				slices.Sort(cols[start:])
+				lowLen[i] = int32(len(cols) - start)
+			}
+			lower[lo/chunk] = cols
 		}
+		mu.Lock()
+		work.add(sc.work)
+		mu.Unlock()
 	})
-	return nb
+
+	// Row i is lower(i), then i itself when it is its own θ-neighbor,
+	// then upper(i) = {j > i : i ∈ lower(j)}. Rows are filled in
+	// ascending i, so each upper part arrives ascending.
+	self := func(i int) bool {
+		l := len(ts[i])
+		return opts.IncludeSelf && ix.cm(l, l, l) >= theta
+	}
+	at := make([]int, n+1) // row starts
+	for i := range n {
+		at[i+1] = int(lowLen[i])
+		if self(i) {
+			at[i+1]++
+		}
+	}
+	for _, cols := range lower {
+		for _, k := range cols {
+			at[k+1]++
+		}
+	}
+	for i := range n {
+		at[i+1] += at[i]
+	}
+	arena := make([]int32, at[n])
+	fill := slices.Clone(at[:n])
+	for c, cols := range lower {
+		for i := c * chunk; i < min(n, (c+1)*chunk); i++ {
+			low := cols[:lowLen[i]]
+			cols = cols[lowLen[i]:]
+			fill[i] += copy(arena[fill[i]:], low)
+			if self(i) {
+				arena[fill[i]] = int32(i)
+				fill[i]++
+			}
+			for _, k := range low {
+				arena[fill[k]] = int32(i)
+				fill[k]++
+			}
+		}
+		lower[c] = nil
+	}
+	for i := range n {
+		if at[i+1] > at[i] {
+			nb.Lists[i] = arena[at[i]:at[i+1]:at[i+1]]
+		}
+	}
+	return nb, work
 }

@@ -87,22 +87,69 @@ func neighborsEqual(a, b *Neighbors) bool {
 	return true
 }
 
+// skewedTrans draws up to maxLen items whose ids concentrate at the low
+// end, so a few common items hold long postings, as hubs do in baskets.
+func skewedTrans(r *rand.Rand, universe, maxLen int) dataset.Transaction {
+	items := make([]dataset.Item, r.Intn(maxLen+1))
+	for i := range items {
+		items[i] = dataset.Item(float64(universe) * r.Float64() * r.Float64())
+	}
+	return dataset.NewTransaction(items...)
+}
+
 // The inverted-index path must agree exactly with brute force across
-// random datasets, thresholds, worker counts, and self-inclusion.
+// random datasets, thresholds, worker counts, and self-inclusion, and on
+// two inputs at scale: hub baskets, where most rows probe, and dense
+// planted labels, where every row runs the full count. The random
+// trials after the first 25 draw skewed items, whose common items make
+// more rows probe.
 func TestIndexedMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
+	var work queryWork
+	for trial := 0; trial < 125; trial++ {
+		draw := randTrans
+		if trial >= 25 {
+			draw = skewedTrans
+		}
 		n := 5 + r.Intn(60)
 		ts := make([]dataset.Transaction, n)
 		for i := range ts {
-			ts[i] = randTrans(r, 25, 10)
+			ts[i] = draw(r, 25, 10)
 		}
 		theta := []float64{0.1, 0.25, 0.5, 0.75, 1.0}[r.Intn(5)]
 		opts := Options{IncludeSelf: r.Intn(2) == 0, Workers: 1 + r.Intn(4)}
 		brute := Compute(ts, theta, opts)
-		indexed := ComputeIndexed(ts, theta, opts)
+		indexed, w := computeIndexed(ts, theta, opts)
 		if !neighborsEqual(brute, indexed) {
 			t.Fatalf("trial %d (n=%d θ=%g opts=%+v): indexed differs from brute", trial, n, theta, opts)
+		}
+		work.add(w)
+	}
+	if work.probes == 0 || work.fulls == 0 {
+		t.Fatalf("random trials: work %+v, want both postings paths", work)
+	}
+
+	for _, in := range []struct {
+		name   string
+		ts     []dataset.Transaction
+		theta  float64
+		probes bool
+	}{
+		{"hub baskets n=2000", hubBaskets(), 0.45, true},
+		{"planted labels n=300", plantedLabels(300), 0.5, false},
+	} {
+		for _, self := range []bool{false, true} {
+			brute := Compute(in.ts, in.theta, Options{IncludeSelf: self})
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := Options{IncludeSelf: self, Workers: workers}
+				indexed, w := computeIndexed(in.ts, in.theta, opts)
+				if !neighborsEqual(brute, indexed) {
+					t.Fatalf("%s opts=%+v: indexed differs from brute", in.name, opts)
+				}
+				if in.probes && (w.probes == 0 || w.fulls == 0) || !in.probes && (w.probes != 0 || w.fulls != len(in.ts)) {
+					t.Fatalf("%s opts=%+v: work %+v, want probes=%v", in.name, opts, w, in.probes)
+				}
+			}
 		}
 	}
 }
