@@ -41,7 +41,7 @@ func main() {
 		firstLab = flag.Bool("first-token-label", false, "basket: first token of each line is the label")
 		members  = flag.Bool("members", false, "print cluster members")
 		topItems = flag.Int("top-items", 0, "print this many top items per cluster")
-		lsh      = flag.Bool("lsh", false, "approximate neighbors via MinHash LSH (large inputs)")
+		lsh      = flag.Bool("lsh", false, "approximate neighbors via MinHash LSH (96 hashes / 24 bands): misses neighbor edges, more of them as θ falls; the stats line reports the sampled recall")
 		workers  = flag.Int("workers", 0, "goroutines for the neighbor, link, labeling, and assign phases (0 = GOMAXPROCS; the merge is serial); results are identical for every value")
 		maxRows  = flag.Int("max-rows", 40, "clusters shown in the summary table")
 		saveTo   = flag.String("save", "", "after clustering, freeze a servable model to this file")
@@ -206,8 +206,16 @@ func run(w io.Writer, input, format string, cfg rock.Config, saveTo string, labe
 		fmt.Fprintf(os.Stderr, "rock: froze %s to %s\n", m, saveTo)
 	}
 
-	fmt.Fprintf(w, "points=%d clusters=%d outliers=%d merges=%d m_a=%.1f link-pairs=%d\n",
-		d.Len(), res.K(), len(res.Outliers), res.Stats.Merges, res.Stats.AvgNeighbors, res.Stats.LinkPairs)
+	st := res.Stats
+	fmt.Fprintf(w, "points=%d clusters=%d outliers=%d merges=%d m_a=%.1f link-pairs=%d",
+		d.Len(), res.K(), len(res.Outliers), st.Merges, st.AvgNeighbors, st.LinkPairs)
+	if st.LSHRecallSampled > 0 {
+		// -lsh misses neighbor edges: report the ledger, so the
+		// approximation is never silent.
+		fmt.Fprintf(w, " lsh-candidate-pairs=%d lsh-verified-edges=%d lsh-sampled-recall=%.3f",
+			st.LSHCandidatePairs, st.LSHVerifiedEdges, st.LSHRecall)
+	}
+	fmt.Fprintln(w)
 	for ci, ms := range res.Clusters {
 		if ci >= maxRows {
 			fmt.Fprintf(w, "... %d more clusters\n", res.K()-maxRows)

@@ -32,10 +32,10 @@ func main() {
 		list  = flag.Bool("list", false, "list experiment ids and exit")
 		out   = flag.String("out", "", "write reports to this file instead of stdout")
 		srv   = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
-		nbrs  = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs prototype LSH vs sort-based LSH pipeline) and write BENCH_neighbors.json (or -out)")
+		nbrs  = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs the LSH pipeline at θ=0.45 and θ=0.3) and write BENCH_neighbors.json (or -out)")
 		strm  = flag.Bool("stream", false, "run the streaming-ingestion sweep (sustained ingest through a regime change with background refresh) and write BENCH_stream.json (or -out)")
 		zoos  = flag.Bool("zoo", false, "run the algorithm-zoo shootout (every registered engine vs ROCK on the labeled/votes/mushroom workloads) and write BENCH_zoo.json (or -out)")
-		long  = flag.Bool("long", false, "with -neighbors: add the million-point rows (10⁶ LSH neighbor run + chunked clustering end-to-end); minutes of runtime")
+		long  = flag.Bool("long", false, "with -neighbors: add n=3×10⁵ at both θ, an exact-alone 10⁶ neighbor row and a 10⁶ chunked clustering run through LSH; minutes of runtime, fits 8 GB")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -105,10 +105,12 @@ the performance-trajectory records — one bench mode per record:
            client-side p50/p95/p99 latency, throughput, and batching
            effectiveness at two worker and two concurrency settings)
   -neighbors  neighbor-phase sweep                 → BENCH_neighbors.json
-           (exact inverted index vs prototype map-based LSH vs the
-           sort-based sharded LSH pipeline on hub-heavy baskets, with
-           measured edge recall; add -long for the million-point rows
-           including an end-to-end chunked clustering run)
+           (the exact θ-query index vs the sort-based sharded LSH
+           pipeline, 96 hashes / 32 bands, on hub-heavy baskets at
+           θ=0.45 and θ=0.3 for n = 10⁴, 3×10⁴, 10⁵, with edge recall
+           measured against every exact edge; add -long for n=3×10⁵ at
+           both θ, a 10⁶ row timing the exact index alone, and an
+           end-to-end 10⁶ chunked clustering run through LSH)
   -stream  streaming-ingestion sweep               → BENCH_stream.json
            (sustained Ingest throughput through a regime change: stable,
            drift-until-refreshed, and post-refresh phases, plus the
@@ -131,14 +133,13 @@ bash perfbench/run.sh --workload <name> --trace 1 (see perfbench/README.md).
 
 Flags:
   -quick   shrink dataset sizes and sweeps (recorded in the JSON)
-  -long    unlock the 10⁶-point rows of -neighbors (minutes of runtime)
+  -long    add the 3×10⁵ and 10⁶ rows of -neighbors (minutes of runtime)
   -seed N  base seed for all generators (default 0)
   -list    list experiment ids and exit
   -out F   write reports (or the named sweep) to F instead of the default
 
-Caveat for the BENCH_*.json sweeps: each file records the GOMAXPROCS
-and the CPU count it was measured at, and -serve, -stream and -zoo also
-record the host. The workers axes of
+Caveat for the BENCH_*.json sweeps: each file records the host, the
+GOMAXPROCS and the CPU count it was measured at. The workers axes of
 -serve and -stream only differentiate when GOMAXPROCS exceeds one; at
 GOMAXPROCS=1 the worker goroutines serialize and latencies include
 queueing on the one CPU.

@@ -20,18 +20,6 @@ type QRockConfig struct {
 	Measure similarity.Measure
 	// Workers bounds parallelism in neighbor computation.
 	Workers int
-	// Seed drives the LSH hash family and recall sampler when
-	// LSHNeighbors is set; it has no other effect (QROCK draws no sample).
-	Seed int64
-	// LSHNeighbors switches the neighbor phase to the approximate
-	// MinHash/LSH pipeline (similarity.ComputeLSH). The component
-	// structure then reflects the recovered edges; the run's quality
-	// ledger lands in Stats.
-	LSHNeighbors bool
-	// LSHHashes and LSHBands tune the banding; zero means the
-	// similarity package defaults.
-	LSHHashes int
-	LSHBands  int
 }
 
 // QRock implements the QROCK observation (a well-known follow-on
@@ -54,10 +42,7 @@ type QRockConfig struct {
 // naming the first transaction that is not canonical or holds a negative
 // item.
 func QRock(ts []dataset.Transaction, cfg QRockConfig) (*Result, error) {
-	rcfg := Config{
-		Theta: cfg.Theta, K: 1, Measure: cfg.Measure, Workers: cfg.Workers, Seed: cfg.Seed,
-		LSHNeighbors: cfg.LSHNeighbors, LSHHashes: cfg.LSHHashes, LSHBands: cfg.LSHBands,
-	}
+	rcfg := Config{Theta: cfg.Theta, K: 1, Measure: cfg.Measure, Workers: cfg.Workers}
 	if err := rcfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -84,40 +84,6 @@ func TestQRockMatchesRockAtKOne(t *testing.T) {
 	}
 }
 
-// QROCK over approximate neighbors: the LSH pipeline's recovered edges
-// must still yield the group components on well-separated data, and the
-// quality ledger must land in Stats.
-func TestQRockLSHNeighbors(t *testing.T) {
-	ts, truth := groupedData(3, 50, 27)
-	res, err := QRock(ts, QRockConfig{Theta: 0.3, Seed: 3, LSHNeighbors: true, LSHHashes: 128, LSHBands: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartition(t, res, len(ts))
-	if res.K() != 3 {
-		t.Fatalf("components = %d, want 3", res.K())
-	}
-	for _, members := range res.Clusters {
-		g := truth[members[0]]
-		for _, p := range members {
-			if truth[p] != g {
-				t.Fatal("component mixes groups")
-			}
-		}
-	}
-	st := res.Stats
-	if st.LSHCandidatePairs <= 0 || st.LSHVerifiedEdges <= 0 || st.LSHRecallSampled <= 0 {
-		t.Fatalf("LSH ledger not populated: %+v", st)
-	}
-	again, err := QRock(ts, QRockConfig{Theta: 0.3, Seed: 3, LSHNeighbors: true, LSHHashes: 128, LSHBands: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Clusters, again.Clusters) {
-		t.Fatal("QROCK LSH path nondeterministic")
-	}
-}
-
 // TestQRockMatchesRockAtKOneProperty is the differential form of the
 // equivalence QRock's doc states: over random transactions, thresholds and
 // built-in measures, ROCK with IncludeSelf, K=1 and no pruning or weeding

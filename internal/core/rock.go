@@ -63,8 +63,8 @@ type Stats struct {
 	LinkEntries     int64   // directed CSR link entries (2×LinkPairs; int64 — big tables pass 2³¹)
 	Merges          int
 	// The LSH quality ledger, populated when the neighbor phase ran the
-	// approximate pipeline (Config.LSHNeighbors / QRockConfig.LSHNeighbors;
-	// ChunkedCluster aggregates its sub-runs). Zero otherwise.
+	// approximate pipeline (Config.LSHNeighbors; ChunkedCluster
+	// aggregates its sub-runs). Zero otherwise.
 	LSHCandidatePairs int64   // unique unordered candidate pairs banding generated
 	LSHVerifiedEdges  int64   // candidates that passed the exact θ-test
 	LSHRecallSampled  int     // rows sampled for the recall estimate (0 = not measured)

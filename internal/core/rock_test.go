@@ -261,10 +261,6 @@ func TestEntryPointsRejectMalformedTransactions(t *testing.T) {
 			return err
 		}},
 		{"QRock", func(ts []dataset.Transaction) error { _, err := QRock(ts, QRockConfig{Theta: 0.3}); return err }},
-		{"QRock/LSH", func(ts []dataset.Transaction) error {
-			_, err := QRock(ts, QRockConfig{Theta: 0.3, LSHNeighbors: true})
-			return err
-		}},
 		{"FreezeSets", func(ts []dataset.Transaction) error {
 			_, err := FreezeSets(ts, [][]int{{0, 1}, {2, 3}}, nil, 0.3, 0.5, nil)
 			return err

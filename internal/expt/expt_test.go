@@ -192,19 +192,35 @@ func TestBenchNeighborsQuick(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if host := reportHost(t, buf.Bytes()); !rep.Quick || rep.Long || host == "" || len(rep.Rows) != 2 {
+	if host := reportHost(t, buf.Bytes()); !rep.Quick || rep.Long || host == "" || len(rep.Rows) != 4 {
 		t.Fatalf("unexpected report shape: quick=%v long=%v host=%q rows=%d", rep.Quick, rep.Long, host, len(rep.Rows))
 	}
+	thetas := map[float64]int{}
 	for _, row := range rep.Rows {
-		if row.ExactSec <= 0 || row.RefSec <= 0 || row.LSHSec <= 0 {
-			t.Fatalf("missing timing in row %+v", row)
-		}
-		if !row.RecallMeasured || row.Recall < 0.9 {
-			t.Fatalf("row n=%d: recall %.4f (measured=%v), want measured ≥ 0.9", row.N, row.Recall, row.RecallMeasured)
+		thetas[row.Theta]++
+		if row.ExactSec <= 0 || row.LSHSec <= 0 || row.ExactEdges <= 0 {
+			t.Fatalf("missing timing or exact edges in row %+v", row)
 		}
 		if row.CandidatePairs < row.VerifiedEdges || row.VerifiedEdges <= 0 {
 			t.Fatalf("implausible ledger in row %+v", row)
 		}
+		switch row.Theta {
+		case 0.45:
+			if !row.RecallMeasured || row.Recall < 0.9 {
+				t.Fatalf("row n=%d θ=0.45: recall %.4f (measured=%v), want measured ≥ 0.9", row.N, row.Recall, row.RecallMeasured)
+			}
+		case 0.3:
+			// θ sits at the 96/32 band threshold, so recall is well
+			// below 1; the row records it rather than meeting a floor.
+			if !row.RecallMeasured || row.Recall <= 0 || row.Recall > 1 {
+				t.Fatalf("row n=%d θ=0.3: recall %.4f (measured=%v), want measured in (0,1]", row.N, row.Recall, row.RecallMeasured)
+			}
+		default:
+			t.Fatalf("unexpected θ in row %+v", row)
+		}
+	}
+	if thetas[0.45] != 2 || thetas[0.3] != 2 {
+		t.Fatalf("rows per θ = %v, want 2 at θ=0.45 and 2 at θ=0.3", thetas)
 	}
 	if rep.Chunked != nil {
 		t.Fatal("chunked row present without -long")

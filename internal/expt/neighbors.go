@@ -13,30 +13,24 @@ import (
 )
 
 // NeighborBenchRow is one point of the neighbor-phase sweep: the exact
-// θ-query index against the prototype map-based LSH and the sort-based
-// sharded pipeline, on the hub-heavy basket workload whose hub postings
-// grow with n.
+// θ-query index against the sort-based sharded LSH pipeline, on the
+// hub-heavy basket workload whose hub postings grow with n.
 type NeighborBenchRow struct {
-	N     int     `json:"n"`
-	Theta float64 `json:"theta"`
-	// ExactSec and RefSec are zero when the variant was skipped (the
-	// million-point row times only the pipeline).
-	ExactSec float64 `json:"exact_sec,omitempty"`
-	RefSec   float64 `json:"ref_sec,omitempty"`
-	LSHSec   float64 `json:"lsh_sec"`
-	// SpeedupVsExact/Ref are LSH pipeline speedups (exact_sec/lsh_sec,
-	// ref_sec/lsh_sec); zero when the comparator was skipped.
+	N          int     `json:"n"`
+	Theta      float64 `json:"theta"`
+	ExactSec   float64 `json:"exact_sec"`
+	ExactEdges int64   `json:"exact_edges"`
+	// The LSH columns are zero, and omitted, on the exact-alone
+	// million-point row. SpeedupVsExact is exact_sec/lsh_sec.
+	LSHSec         float64 `json:"lsh_sec,omitempty"`
 	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
-	SpeedupVsRef   float64 `json:"speedup_vs_ref,omitempty"`
-	// Recall is edge recall against the exact neighbor relation:
-	// measured over every exact edge when the exact index ran
-	// (RecallMeasured), otherwise the pipeline's sampled-ledger estimate.
-	Recall         float64 `json:"recall"`
-	RecallMeasured bool    `json:"recall_measured"`
-	ExactEdges     int64   `json:"exact_edges,omitempty"`
-	CandidatePairs int64   `json:"candidate_pairs"`
-	VerifiedEdges  int64   `json:"verified_edges"`
-	RecallSampled  int     `json:"recall_sampled"`
+	// Recall is the pipeline's edge recall measured over every exact
+	// edge (RecallMeasured), not its sampled-ledger estimate.
+	Recall         float64 `json:"recall,omitempty"`
+	RecallMeasured bool    `json:"recall_measured,omitempty"`
+	CandidatePairs int64   `json:"candidate_pairs,omitempty"`
+	VerifiedEdges  int64   `json:"verified_edges,omitempty"`
+	RecallSampled  int     `json:"recall_sampled,omitempty"`
 }
 
 // NeighborBenchChunked records the end-to-end chunked clustering run at
@@ -91,22 +85,26 @@ func neighborBenchData(n int, seed int64) []dataset.Transaction {
 	return d.Trans
 }
 
-// BenchNeighbors times the neighbor phase three ways — the exact θ-query
-// index (ComputeIndexed), prototype map-based LSH (ComputeLSHReference),
-// sort-based sharded LSH pipeline (ComputeLSH) — and writes the result
-// as JSON, with the host it ran on: the perf-trajectory record behind
-// `rockbench -neighbors`. Recall is measured exactly wherever the exact
-// index runs. With Options.Long the sweep adds a 10⁶-point
-// pipeline-only row (comparators skipped) and an end-to-end
-// ChunkedCluster run at 10⁶ through the LSH path.
+// BenchNeighbors times the neighbor phase two ways — the exact θ-query
+// index (ComputeIndexed) and the sort-based sharded LSH pipeline
+// (ComputeLSH) — at θ=0.45 and θ=0.3, and writes the result as JSON,
+// with the host it ran on: the perf-trajectory record behind `rockbench
+// -neighbors`. Recall is measured against every exact edge. With
+// Options.Long the sweep adds n=3×10⁵ at both θ, a 10⁶-point row that
+// times the exact index alone (LSH at 10⁶ has run out of memory on an
+// 8 GB host), and an end-to-end ChunkedCluster run at 10⁶ through the
+// LSH path.
 func BenchNeighbors(w io.Writer, opts Options) error {
 	ns := []int{10000, 30000, 100000}
 	if opts.Quick {
 		ns = []int{2000, 5000}
 	}
-	theta := 0.45
+	if opts.Long {
+		ns = append(ns, 300000)
+	}
+	thetas := []float64{0.45, 0.3}
 	lshOpts := func() similarity.LSHOptions {
-		// Band threshold (1/32)^(1/3) ≈ 0.31 < θ = 0.45 keeps recall high.
+		// Band threshold (1/32)^(1/3) ≈ 0.31: below θ = 0.45, at θ = 0.3.
 		return similarity.LSHOptions{Hashes: 96, Bands: 32, Seed: opts.Seed + 1, RecallSample: 256}
 	}
 
@@ -119,8 +117,8 @@ func BenchNeighbors(w io.Writer, opts Options) error {
 		Notes: []string{
 			cpuNote(),
 			"workload: hub-heavy baskets (15 universal noise items, rate 0.15) with n/200 clusters — hub posting lists grow with n, so a full postings count tends to O(n²) candidate work.",
-			"exact is ComputeIndexed on the exact θ-query index, which probes each basket's rarest items when that reads fewer postings; ref is the prototype map-based ComputeLSHReference; lsh is the sort-based sharded pipeline ComputeLSH (96 hashes / 32 bands, θ=0.45; neighbor lists byte-identical to ref, see TestLSHOracle).",
-			"recall_measured=true rows compare every exact edge against the pipeline's lists; the million-point row reports the pipeline's own sampled-recall ledger instead.",
+			"exact is ComputeIndexed on the exact θ-query index, which probes each basket's rarest items when that reads fewer postings; lsh is the sort-based sharded pipeline ComputeLSH (96 hashes / 32 bands, band threshold ≈ 0.31, at both θ).",
+			"recall compares every exact edge against the pipeline's lists; the million-point row times the exact index alone.",
 			"timings are best-of-3 below n=10⁵ and single-run at or above it.",
 		},
 	}
@@ -131,46 +129,45 @@ func BenchNeighbors(w io.Writer, opts Options) error {
 		if n >= 100000 {
 			runs = 1
 		}
-		var exact, approx *similarity.Neighbors
-		row := NeighborBenchRow{N: n, Theta: theta}
-		row.ExactSec = bestOf(runs, func() { exact = similarity.ComputeIndexed(ts, theta, similarity.Options{}) })
-		row.RefSec = bestOf(runs, func() { similarity.ComputeLSHReference(ts, theta, lshOpts()) })
-		row.LSHSec = bestOf(runs, func() { approx = similarity.ComputeLSH(ts, theta, lshOpts()) })
-		row.SpeedupVsExact = row.ExactSec / row.LSHSec
-		row.SpeedupVsRef = row.RefSec / row.LSHSec
+		for _, theta := range thetas {
+			var exact, approx *similarity.Neighbors
+			row := NeighborBenchRow{N: n, Theta: theta}
+			row.ExactSec = bestOf(runs, func() { exact = similarity.ComputeIndexed(ts, theta, similarity.Options{}) })
+			row.LSHSec = bestOf(runs, func() { approx = similarity.ComputeLSH(ts, theta, lshOpts()) })
+			row.SpeedupVsExact = row.ExactSec / row.LSHSec
 
-		var hit int64
-		for i := range ts {
-			for _, j := range exact.Lists[i] {
-				row.ExactEdges++
-				if approx.Contains(i, j) {
-					hit++
+			var hit int64
+			for i := range ts {
+				for _, j := range exact.Lists[i] {
+					row.ExactEdges++
+					if approx.Contains(i, j) {
+						hit++
+					}
 				}
 			}
+			row.Recall = 1
+			if row.ExactEdges > 0 {
+				row.Recall = float64(hit) / float64(row.ExactEdges)
+			}
+			row.RecallMeasured = true
+			row.CandidatePairs = approx.LSH.CandidatePairs
+			row.VerifiedEdges = approx.LSH.VerifiedEdges
+			row.RecallSampled = approx.LSH.RecallSampled
+			report.Rows = append(report.Rows, row)
 		}
-		row.Recall = 1
-		if row.ExactEdges > 0 {
-			row.Recall = float64(hit) / float64(row.ExactEdges)
-		}
-		row.RecallMeasured = true
-		row.CandidatePairs = approx.LSH.CandidatePairs
-		row.VerifiedEdges = approx.LSH.VerifiedEdges
-		row.RecallSampled = approx.LSH.RecallSampled
-		report.Rows = append(report.Rows, row)
 	}
 
 	if opts.Long {
 		n := 1000000
+		theta := thetas[0]
 		ts := neighborBenchData(n, opts.Seed)
-		var approx *similarity.Neighbors
+		var exact *similarity.Neighbors
 		row := NeighborBenchRow{N: n, Theta: theta}
-		row.LSHSec = timeIt(func() { approx = similarity.ComputeLSH(ts, theta, lshOpts()) })
-		row.Recall = approx.LSH.Recall
-		row.RecallSampled = approx.LSH.RecallSampled
-		row.CandidatePairs = approx.LSH.CandidatePairs
-		row.VerifiedEdges = approx.LSH.VerifiedEdges
+		row.ExactSec = timeIt(func() { exact = similarity.ComputeIndexed(ts, theta, similarity.Options{}) })
+		_, _, edges := exact.Stats()
+		row.ExactEdges = int64(edges)
 		report.Rows = append(report.Rows, row)
-		approx = nil
+		exact = nil
 
 		// End-to-end: a million points through ChunkedCluster on the LSH
 		// neighbor path, quality ledger aggregated across every sub-run.

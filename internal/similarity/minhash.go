@@ -11,7 +11,7 @@ import (
 
 // This file is the production MinHash/LSH neighbor pipeline: a
 // high-throughput, sort-based, sharded rewrite of the prototype kept in
-// minhash_reference.go. Both implementations share the hash family, the
+// test code (minhash_reference_test.go). Both share the hash family, the
 // band-key function, and the option defaulting below, and the oracle
 // test proves their outputs byte-identical — the rewrite changes
 // constant factors only:
@@ -252,13 +252,14 @@ func mergeUniqueRuns(runs [][]uint64) []uint64 {
 // ComputeLSH builds approximate θ-neighbor lists: MinHash signatures,
 // banded bucketing to generate candidate pairs, exact verification of
 // every candidate. For θ well above the band threshold the recall is
-// near 1 while the candidate set stays near-linear — the cure for the
-// O(n²) neighbor phase that dominates ROCK on large samples, and the
-// first-class road to clustering 10⁶ points on one machine.
+// near 1 while the candidate set stays near-linear. The exact index
+// (ComputeIndexed) is faster wherever its prefix probe prunes well; on
+// hub-heavy baskets LSH is measured ahead only at low θ and large n
+// (BENCH_neighbors.json).
 //
 // The pipeline is sort-based and sharded (see the file comment); its
-// output is byte-identical to ComputeLSHReference for every worker
-// count, and nb.LSH carries the run's quality ledger.
+// output is byte-identical to the prototype in the oracle test for
+// every worker count, and nb.LSH carries the run's quality ledger.
 func ComputeLSH(ts []dataset.Transaction, theta float64, opts LSHOptions) *Neighbors {
 	opts = opts.withDefaults()
 	n := len(ts)

@@ -80,10 +80,6 @@ type Config struct {
 	// re-clustering context (default 4096). The reservoir is a uniform
 	// sample of everything admitted so far, seeded by Seed.
 	RetainSample int
-	// LSHAbove switches the refresh run's neighbor phase to the LSH
-	// pipeline when the re-cluster input (reservoir + outliers) reaches
-	// this many points (default 50000; negative disables).
-	LSHAbove int
 	// Incremental switches the background refresh to the seeded
 	// re-cluster: the frozen model's labeled clusters seed the
 	// agglomeration arena (core.ClusterSeeded) and only the parked
@@ -129,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetainSample <= 0 {
 		c.RetainSample = 4096
-	}
-	if c.LSHAbove == 0 {
-		c.LSHAbove = 50000
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real()
@@ -192,7 +185,6 @@ type Stats struct {
 	IncrementalFallbacks   int64   `json:"incremental_fallbacks"`
 	LastTriggerSeen        int64   `json:"last_trigger_seen"`
 	LastRefreshPoints      int     `json:"last_refresh_points"`
-	LastRefreshLSH         bool    `json:"last_refresh_lsh"`
 	LastRefreshIncremental bool    `json:"last_refresh_incremental"`
 	LastRefreshSec         float64 `json:"last_refresh_sec"`
 	LastSwapPauseSec       float64 `json:"last_swap_pause_sec"`
@@ -228,7 +220,6 @@ type Streamer struct {
 	incrementalFallbacks       int64
 	lastTriggerSeen            int64
 	lastRefreshPoints          int
-	lastRefreshLSH             bool
 	lastRefreshIncremental     bool
 	lastRefreshSec             float64
 	lastSwapPauseSec           float64
@@ -408,7 +399,6 @@ func (s *Streamer) Stats() Stats {
 		IncrementalFallbacks:   s.incrementalFallbacks,
 		LastTriggerSeen:        s.lastTriggerSeen,
 		LastRefreshPoints:      s.lastRefreshPoints,
-		LastRefreshLSH:         s.lastRefreshLSH,
 		LastRefreshIncremental: s.lastRefreshIncremental,
 		LastRefreshSec:         s.lastRefreshSec,
 		LastSwapPauseSec:       s.lastSwapPauseSec,
@@ -512,12 +502,11 @@ func (s *Streamer) refresh(in refreshInput) {
 	}
 	start := s.clock.Now()
 
-	m, incremental, npts, lsh, err := s.recluster(in)
+	m, incremental, npts, err := s.recluster(in)
 	if err != nil {
 		s.mu.Lock()
 		s.failedRefreshes++
 		s.lastRefreshPoints = npts
-		s.lastRefreshLSH = lsh
 		s.lastRefreshIncremental = incremental
 		s.lastRefreshSec = s.clock.Now().Sub(start).Seconds()
 		s.lastRefreshErr = err.Error()
@@ -538,7 +527,6 @@ func (s *Streamer) refresh(in refreshInput) {
 	s.mu.Lock()
 	s.refreshes++
 	s.lastRefreshPoints = npts
-	s.lastRefreshLSH = lsh
 	s.lastRefreshIncremental = incremental
 	s.lastRefreshSec = s.clock.Now().Sub(start).Seconds()
 	s.lastSwapPauseSec = pause.Seconds()
@@ -555,19 +543,14 @@ func (s *Streamer) refresh(in refreshInput) {
 // the snapshotted outliers), falling back to the full re-cluster over
 // reservoir+outliers when the seeded run rejects the config or fails.
 // Called without s.mu held.
-func (s *Streamer) recluster(in refreshInput) (m *core.Model, incremental bool, npts int, lsh bool, err error) {
+func (s *Streamer) recluster(in refreshInput) (m *core.Model, incremental bool, npts int, err error) {
 	if s.cfg.Incremental {
 		reps, groups := in.model.LabeledGroups()
 		pts := append(reps, in.outliers...)
 		npts = len(pts)
-		rcfg := s.cfg.Cluster
-		lsh = s.cfg.LSHAbove >= 0 && npts >= s.cfg.LSHAbove
-		if lsh {
-			rcfg.LSHNeighbors = true
-		}
-		m, err = seededFreeze(pts, groups, in.names, rcfg)
+		m, err = seededFreeze(pts, groups, in.names, s.cfg.Cluster)
 		if err == nil {
-			return m, true, npts, lsh, nil
+			return m, true, npts, nil
 		}
 		s.mu.Lock()
 		s.incrementalFallbacks++
@@ -578,13 +561,8 @@ func (s *Streamer) recluster(in refreshInput) (m *core.Model, incremental bool, 
 	sample = append(sample, in.reservoir...)
 	sample = append(sample, in.outliers...)
 	npts = len(sample)
-	rcfg := s.cfg.Cluster
-	lsh = s.cfg.LSHAbove >= 0 && npts >= s.cfg.LSHAbove
-	if lsh {
-		rcfg.LSHNeighbors = true
-	}
-	m, err = reclusterFreeze(sample, in.names, rcfg)
-	return m, false, npts, lsh, err
+	m, err = reclusterFreeze(sample, in.names, s.cfg.Cluster)
+	return m, false, npts, err
 }
 
 // settleRingLocked reconciles the outlier ring after a successful swap.

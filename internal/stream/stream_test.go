@@ -214,57 +214,6 @@ func TestIngestNames(t *testing.T) {
 	}
 }
 
-// TestRefreshUsesLSH proves the refresh honors the LSH escape hatch for
-// large buffers: with LSHAbove forced to 1, the background re-cluster
-// runs the LSH neighbor path and still produces a model that places the
-// drifted points.
-func TestRefreshUsesLSH(t *testing.T) {
-	g := newRegime(0, 2, 11)
-	m := freezeRegime(t, g, 200, 2, 1)
-	st, err := New(m, Config{
-		Cluster:            core.Config{Theta: soakTheta, K: 4, Seed: 5},
-		Serve:              serve.Config{MaxBatch: 1},
-		Window:             16,
-		Warmup:             16,
-		MinRefreshOutliers: 16,
-		RetainSample:       64,
-		LSHAbove:           1,
-		Clock:              vclock.NewFake(time.Unix(0, 0)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the estimator with admitted points, then drift hard.
-	warm, _ := g.batch(64)
-	st.Ingest(warm)
-	drift := newRegime(70000, 2, 9)
-	dts, _ := drift.batch(64)
-	st.Ingest(dts)
-	st.Quiesce()
-
-	stats := st.Stats()
-	if stats.Refreshes != 1 || stats.FailedRefreshes != 0 {
-		t.Fatalf("refresh ledger: %+v", stats)
-	}
-	if !stats.LastRefreshLSH {
-		t.Fatal("refresh did not take the LSH neighbor path despite LSHAbove=1")
-	}
-	if stats.Generation != 2 {
-		t.Fatalf("generation %d after refresh", stats.Generation)
-	}
-	probe, _ := drift.batch(32)
-	res := st.Ingest(probe)
-	placed := 0
-	for _, ci := range res.Assignments {
-		if ci >= 0 {
-			placed++
-		}
-	}
-	if placed < 28 {
-		t.Fatalf("refreshed model placed only %d/32 drifted probes", placed)
-	}
-}
-
 // TestRefreshFailureKeepsServing proves a refresh that cannot produce a
 // model (here: every refresh input point pruned as a link-outlier, so
 // there is nothing to freeze) counts a failure, keeps the old generation

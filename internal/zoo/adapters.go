@@ -30,7 +30,7 @@ func (e *KModesEngine) Fit(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if _, err := clampK(cfg.K, d.Len()); err != nil {
 		return nil, err
 	}
-	records, _ := recordsOf(d)
+	records := baseline.RecordsOf(d)
 	km, err := baseline.KModes(records, baseline.KModesConfig{
 		K: cfg.K, MaxIter: cfg.MaxIter, Seed: cfg.Seed, Restarts: e.Restarts,
 	})
@@ -105,7 +105,7 @@ func (e *STIRREngine) Fit(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if n == 0 {
 		return &Result{Assign: []int{}}, nil
 	}
-	records, width := recordsOf(d)
+	records, width := baseline.RecordsOf(d), len(d.Attrs)
 	if width == 0 {
 		// No attributes: every record is identical — one cluster, the
 		// same degenerate answer the other record engines give. stirr.Run

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/rockclust/rock/internal/baseline"
 	"github.com/rockclust/rock/internal/dataset"
 )
 
@@ -165,7 +166,7 @@ func (st *coolcatState) place(rec dataset.Record) int {
 // Fit implements Engine.
 func (e *COOLCATEngine) Fit(d *dataset.Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	records, width := recordsOf(d)
+	records, width := baseline.RecordsOf(d), len(d.Attrs)
 	n := len(records)
 	k, err := clampK(cfg.K, n)
 	if err != nil {

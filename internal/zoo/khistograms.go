@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/rockclust/rock/internal/baseline"
 	"github.com/rockclust/rock/internal/dataset"
 )
 
@@ -70,7 +71,7 @@ func (h *histCenter) add(rec dataset.Record, width int) {
 // Fit implements Engine.
 func (*KHistogramsEngine) Fit(d *dataset.Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	records, width := recordsOf(d)
+	records, width := baseline.RecordsOf(d), len(d.Attrs)
 	n := len(records)
 	k, err := clampK(cfg.K, n)
 	if err != nil {

@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"github.com/rockclust/rock/internal/baseline"
 	"github.com/rockclust/rock/internal/dataset"
 )
 
@@ -120,7 +121,7 @@ func (*SqueezerEngine) Fit(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if _, err := clampK(cfg.K, d.Len()); err != nil {
 		return nil, err
 	}
-	records, width := recordsOf(d)
+	records, width := baseline.RecordsOf(d), len(d.Attrs)
 	s := NewSqueezer(width, cfg.Threshold)
 	for _, rec := range records {
 		s.Ingest(rec)

@@ -260,14 +260,3 @@ func clampK(k, n int) (int, error) {
 	}
 	return k, nil
 }
-
-// recordsOf decodes the dataset back to categorical records of uniform
-// width len(d.Attrs); datasets without attribute metadata yield
-// zero-width records. The record view the record-based engines share.
-func recordsOf(d *dataset.Dataset) ([]dataset.Record, int) {
-	records := make([]dataset.Record, d.Len())
-	for i, t := range d.Trans {
-		records[i] = dataset.DecodeRecord(d, t)
-	}
-	return records, len(d.Attrs)
-}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/rockclust/rock/internal/baseline"
 	"github.com/rockclust/rock/internal/dataset"
 )
 
@@ -188,7 +189,7 @@ func TestSqueezerStreaming(t *testing.T) {
 // exactly the incremental API replayed in input order.
 func TestSqueezerIncrementalMatchesEngine(t *testing.T) {
 	d := plantedDataset(150, 9)
-	records, width := recordsOf(d)
+	records, width := baseline.RecordsOf(d), len(d.Attrs)
 	s := NewSqueezer(width, 0.5)
 	for _, rec := range records {
 		s.Ingest(rec)
