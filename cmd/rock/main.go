@@ -209,6 +209,11 @@ func run(w io.Writer, input, format string, cfg rock.Config, saveTo string, labe
 	st := res.Stats
 	fmt.Fprintf(w, "points=%d clusters=%d outliers=%d merges=%d m_a=%.1f link-pairs=%d",
 		d.Len(), res.K(), len(res.Outliers), st.Merges, st.AvgNeighbors, st.LinkPairs)
+	if st.StoppedEarly {
+		// No cross links were left at more than -k clusters: each cluster
+		// is a whole component of the link graph.
+		fmt.Fprint(w, " stopped-early=true")
+	}
 	if st.LSHRecallSampled > 0 {
 		// -lsh misses neighbor edges: report the ledger, so the
 		// approximation is never silent.

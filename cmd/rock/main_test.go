@@ -127,6 +127,29 @@ func TestLSHLedgerLine(t *testing.T) {
 	}
 }
 
+// TestStoppedEarlyOnStatsLine: the two basket templates share no item,
+// so their link graph has two components. At -k 1 the merge runs out of
+// cross links and the stats line says so; at -k 2 it reaches K and
+// prints nothing extra.
+func TestStoppedEarlyOnStatsLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baskets.txt")
+	lines := "milk bread butter\nmilk bread jam\nmilk butter jam\nbread butter jam\n" +
+		"beer chips salsa\nbeer chips dip\nbeer salsa dip\nchips salsa dip\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2} {
+		var out bytes.Buffer
+		if err := run(&out, path, "basket", rock.Config{Theta: 0.3, K: k, Seed: 1}, "", -1, -1, true, false, false, 0, 40); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		stats, _, _ := strings.Cut(out.String(), "\n")
+		if want := k == 1; strings.HasSuffix(stats, " stopped-early=true") != want || !strings.HasPrefix(stats, "points=8 clusters=2 ") {
+			t.Fatalf("k=%d: stats line %q, want clusters=2 and stopped-early printed=%v", k, stats, want)
+		}
+	}
+}
+
 // parseMembers reads the `cluster N: assigned=…` sections of the -members
 // output into per-cluster member-name lists.
 func parseMembers(t *testing.T, out string) map[string][]string {

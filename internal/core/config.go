@@ -15,7 +15,12 @@ type Config struct {
 	// neighbors. Must lie in [0,1].
 	Theta float64
 	// K is the target number of clusters. Merging stops at K clusters, or
-	// earlier if no cross-cluster links remain.
+	// earlier if no cross-cluster links remain. A merge joins only
+	// clusters that share a link, so it never joins two connected
+	// components of the link graph: when the clustered points' link graph
+	// has K or more components, the run ends at exactly those components
+	// (weeding aside), and Stats.StoppedEarly says when they are more
+	// than K.
 	K int
 	// F maps θ to the exponent f(θ); nil selects MarketBasketF.
 	F FTheta

@@ -177,9 +177,16 @@ func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) eng
 // singleton slots (slotOf the identity) the fold copies lt row by row.
 // The lazy heap is bulk-initialized in O(slots) from each slot's best
 // partner. GoodnessROCK's power table covers every size up to the point
-// count. newArena fails on a folded count past int32, which singleton
-// slots cannot produce, and on a power table that overflows float64.
+// count. newArena fails on a power table that overflows float64
+// (checkPowTable, shared with mergePhase's components path) and on a
+// folded count past int32, which singleton slots cannot produce. The
+// count guard, like addCounts's panic, belongs to the arena alone: the
+// components path reads no counts, so an input whose folded counts
+// overflow still returns its components when they number K or more.
 func newArena(lt *linkage.Compact, slotOf []int32, slots int, good Goodness, f float64) (*arena, error) {
+	if err := checkPowTable(good, len(slotOf), f); err != nil {
+		return nil, err
+	}
 	a := &arena{
 		good:    good,
 		alive:   make([]bool, slots),
@@ -196,15 +203,7 @@ func newArena(lt *linkage.Compact, slotOf []int32, slots int, good Goodness, f f
 		boundID: make([]int32, slots),
 	}
 	if good == GoodnessROCK {
-		n := len(slotOf)
-		a.pow = newPowTable(n, f)
-		// An infinite pow[s] scores every merge past size s links/+Inf =
-		// 0, which the loop reads as "no links left", and two clusters
-		// both past s NaN. pow[n] bounds the table: it grows with s when
-		// 1+2f > 0 and stays at most 1 for s ≥ 1 otherwise.
-		if n > 0 && math.IsInf(a.pow[n], 1) {
-			return nil, fmt.Errorf("core: exponent 1+2f = %g overflows float64 for a cluster of n = %d points; use a smaller f(θ)", 1+2*f, n)
-		}
+		a.pow = newPowTable(len(slotOf), f)
 	}
 	for s := range a.alive {
 		a.alive[s] = true
@@ -542,13 +541,4 @@ func lowerBound(row []linkEntry, slot int32) int {
 		}
 	}
 	return lo
-}
-
-// BenchAgglomerateArena runs the production arena engine over a prebuilt
-// CSR link table, exported for perfbench, whose --trace 1 run times it
-// as the core.merge span; it is the same arena, merge loop and power
-// table the pipeline runs with the default GoodnessROCK.
-func BenchAgglomerateArena(n int, lt *linkage.Compact, k int, f float64) (clusters, merges int) {
-	res := agglomerate(n, lt, k, GoodnessROCK, f, 0, 0, false)
-	return len(res.clusters), res.merges
 }

@@ -17,6 +17,16 @@
 // entry point only adds a seed, which exempts its points from pruning and
 // starts the arena from its groups.
 //
+// The merge phase (merge.go) builds the arena only when the answer
+// depends on the merge order. A merge joins only clusters that share a
+// link, and every goodness kind scores a shared link above zero, so the
+// merge loop never joins two connected components of the link graph and
+// always merges within one while it holds two clusters. With K or more
+// components it therefore ends at exactly those components; when no
+// trace is asked for and weeding cannot fire first, mergePhase returns
+// them from a disjoint-set forest without building the arena, and
+// TestMergePhaseComponentsOracle holds that path equal to the arena's.
+//
 // Arena invariants (engine.go): clusters live in slots [0, m), one per
 // initial cluster; a merge reuses one parent's slot for the product and
 // the other slot dies, so `alive` plus the logical `id` array replace the
@@ -44,7 +54,10 @@
 // engine's scoring and the table's bit-for-bit oracle.
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // FTheta maps the neighbor threshold θ to the exponent function f(θ) used
 // by the criterion and goodness measures: a point in cluster C_i is
@@ -96,6 +109,22 @@ func newPowTable(points int, f float64) powTable {
 		pow[s] = math.Pow(float64(s), exp)
 	}
 	return pow
+}
+
+// checkPowTable reports whether good's scores stay finite over clusters
+// of up to points points: only GoodnessROCK can fail, when its table's
+// pow[points] overflows float64. An infinite pow[s] would score every
+// merge past size s links/+Inf = 0, which the merge loop reads as "no
+// links left", and two clusters both past s NaN. pow[points] bounds the
+// table: it grows with s when 1+2f > 0 and stays at most 1 for s ≥ 1
+// otherwise. Both merge paths call it, so the error does not depend on
+// which one runs.
+func checkPowTable(good Goodness, points int, f float64) error {
+	exp := 1 + 2*f
+	if good == GoodnessROCK && points > 0 && math.IsInf(math.Pow(float64(points), exp), 1) {
+		return fmt.Errorf("core: exponent 1+2f = %g overflows float64 for a cluster of n = %d points; use a smaller f(θ)", exp, points)
+	}
+	return nil
 }
 
 // goodness is GoodnessROCK for sizes ni and nj, the powers subtracted in

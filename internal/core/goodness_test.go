@@ -188,6 +188,17 @@ func TestPowTableOverflow(t *testing.T) {
 	if _, err := newArena(tableFromPairs(0, nil), nil, 0, GoodnessROCK, -2); err != nil {
 		t.Fatalf("empty arena at exponent -3: %v", err)
 	}
+	// The merge phase fails alike whether it returns the 3 components
+	// (K ≤ 3) or builds the arena (K = 4).
+	for _, k := range []int{3, 4} {
+		for _, good := range []Goodness{GoodnessROCK, GoodnessLinkCount} {
+			_, err := mergePhase(lt, slotOf, 5, Config{K: k, Goodness: good, F: ConstantF(1000)}.withDefaults())
+			wantErr := good == GoodnessROCK
+			if (err != nil) != wantErr || wantErr && !strings.Contains(err.Error(), "2001") {
+				t.Fatalf("merge phase K=%d goodness %d: err = %v", k, good, err)
+			}
+		}
+	}
 }
 
 func TestCriterion(t *testing.T) {

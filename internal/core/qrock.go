@@ -33,11 +33,15 @@ type QRockConfig struct {
 // where cluster counts must be driven down to k, full ROCK's goodness
 // ordering matters.
 //
-// The equivalence holds for ROCK with self-inclusive neighbor lists
-// (Config.IncludeSelf), K=1, and no pruning or weeding: every θ-edge then
-// carries at least two links, its endpoints being common neighbors of the
-// pair. Without IncludeSelf a link counts only third parties, so two
-// points that are each other's only neighbor share no link and never
+// ROCK's merge never joins two connected components of the link graph,
+// so at any K up to their count it ends at exactly those components
+// (K=1 always qualifies). The equivalence therefore holds for ROCK with
+// self-inclusive neighbor lists (Config.IncludeSelf), no pruning or
+// weeding, and K at most the component count: every θ-edge then carries
+// at least two links, its endpoints being common neighbors of the pair,
+// and a link is a two-edge θ-path, so the two graphs share their
+// components. Without IncludeSelf a link counts only third parties, so
+// two points that are each other's only neighbor share no link and never
 // merge, while QRock joins them. Like Cluster, QRock returns an error
 // naming the first transaction that is not canonical or holds a negative
 // item.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -69,9 +68,12 @@ type Stats struct {
 	LSHVerifiedEdges  int64   // candidates that passed the exact θ-test
 	LSHRecallSampled  int     // rows sampled for the recall estimate (0 = not measured)
 	LSHRecall         float64 // sampled edge recall vs the exact neighbor relation
-	StoppedEarly      bool    // ran out of cross links before reaching K
-	ClustersFound     int
-	FVal              float64 // the exponent f(θ) in effect
+	// StoppedEarly reports that the merge ran out of cross links before
+	// reaching K: more than K clusters remain, each a whole connected
+	// component of the link graph over the points the merge kept.
+	StoppedEarly  bool
+	ClustersFound int
+	FVal          float64 // the exponent f(θ) in effect
 }
 
 // addLSH folds one neighbor run's LSH ledger into the stats.
@@ -181,22 +183,14 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	res.Stats.LinkPairs = lt.Pairs()
 	res.Stats.LinkEntries = int64(lt.Entries())
 
-	// Phase 5: agglomerate on the arena engine, from one slot per seed
-	// group plus one singleton per other kept point. Weeding triggers on
-	// the initial slot count.
+	// Phase 5: merge, from one slot per seed group plus one singleton per
+	// other kept point: the link graph's components when there are K or
+	// more of them, the arena engine otherwise (mergePhase).
 	slotOf, slots := seedSlots(kept, len(seed), groupOf)
-	weedTrigger := 0
-	if cfg.WeedAt > 0 {
-		weedTrigger = int(math.Ceil(cfg.WeedAt * float64(slots)))
-		if weedTrigger < cfg.K {
-			weedTrigger = cfg.K
-		}
-	}
-	a, err := newArena(lt, slotOf, slots, cfg.Goodness, cfg.fval())
+	eng, err := mergePhase(lt, slotOf, slots, cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng := runAgglomeration(a, cfg.K, weedTrigger, cfg.WeedMaxSize, cfg.TraceMerges)
 	res.Stats.Merges = eng.merges
 	res.Stats.StoppedEarly = eng.stoppedEarly
 	res.Stats.Weeded = len(eng.weeded)

@@ -1,7 +1,8 @@
 // Package unionfind implements a disjoint-set forest with union by rank
 // and path compression. It backs the QROCK variant of ROCK (clusters as
-// connected components of the θ-neighbor graph) and component diagnostics
-// in the experiment harness.
+// connected components of the θ-neighbor graph), the merge phase's count
+// of link-graph components, trace cuts, and component diagnostics in the
+// experiment harness.
 package unionfind
 
 // Forest is a disjoint-set forest over the integers [0, n). The zero value
@@ -64,17 +65,19 @@ func (f *Forest) Same(x, y int) bool { return f.Find(x) == f.Find(y) }
 // share a label, labels are assigned 0,1,... in order of first appearance.
 func (f *Forest) Labels() []int {
 	labels := make([]int, len(f.parent))
+	for i := range labels {
+		labels[i] = -1
+	}
 	next := 0
-	seen := make(map[int]int)
-	for i := range f.parent {
+	for i := range labels {
 		r := f.Find(i)
-		l, ok := seen[r]
-		if !ok {
-			l = next
-			seen[r] = l
+		// A set's label is kept at its root's index, written when the set
+		// first appears, which may precede the root's own turn.
+		if labels[r] < 0 {
+			labels[r] = next
 			next++
 		}
-		labels[i] = l
+		labels[i] = labels[r]
 	}
 	return labels
 }
@@ -82,15 +85,8 @@ func (f *Forest) Labels() []int {
 // Components returns the members of each set, grouped, ordered by first
 // appearance and ascending within each group.
 func (f *Forest) Components() [][]int {
-	labels := f.Labels()
-	n := 0
-	for _, l := range labels {
-		if l+1 > n {
-			n = l + 1
-		}
-	}
-	out := make([][]int, n)
-	for i, l := range labels {
+	out := make([][]int, f.count)
+	for i, l := range f.Labels() {
 		out[l] = append(out[l], i)
 	}
 	return out

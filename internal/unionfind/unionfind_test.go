@@ -2,6 +2,7 @@ package unionfind
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -86,5 +87,43 @@ func TestAgainstNaiveModel(t *testing.T) {
 	}
 	if f.Count() != len(distinct) {
 		t.Fatalf("Count = %d, model %d", f.Count(), len(distinct))
+	}
+}
+
+// labelsMap is Labels as first written, through a map from root to
+// label: the oracle for the root-indexed labeling.
+func labelsMap(f *Forest) []int {
+	labels := make([]int, f.Len())
+	seen := make(map[int]int)
+	for i := range labels {
+		r := f.Find(i)
+		l, ok := seen[r]
+		if !ok {
+			l = len(seen)
+			seen[r] = l
+		}
+		labels[i] = l
+	}
+	return labels
+}
+
+// TestLabelsMatchMapLabels checks Labels against the map-based labeling
+// on random forests, from all singletons to one set, where roots land
+// both before and after their sets' first members.
+func TestLabelsMatchMapLabels(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(80)
+		f := New(n)
+		for u := r.Intn(2 * n); u > 0; u-- {
+			f.Union(r.Intn(n), r.Intn(n))
+		}
+		got, want := f.Labels(), labelsMap(f)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d n=%d: Labels %v, map labeling %v", trial, n, got, want)
+		}
+		if comps := f.Components(); len(comps) != f.Count() {
+			t.Fatalf("trial %d: %d components, Count %d", trial, len(comps), f.Count())
+		}
 	}
 }
