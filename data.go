@@ -68,7 +68,11 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) { return dataset.Re
 func WriteCSV(w io.Writer, d *Dataset) error { return dataset.WriteCSV(w, d) }
 
 // ReadBasket parses the market-basket text format: one transaction per
-// line, whitespace-separated items.
+// line, whitespace-separated items. Transactions share blocks of items,
+// each with its capacity clipped to its length, so an append to one
+// copies it. A caller that keeps a few transactions of a large parse
+// keeps their blocks alive; keeping their Clone lets the blocks go.
+// Equal labels share one string.
 func ReadBasket(r io.Reader, opts BasketOptions) (*Dataset, error) {
 	return dataset.ReadBasket(r, opts)
 }

@@ -64,9 +64,15 @@ func mergePhase(lt *linkage.Compact, slotOf []int32, slots int, cfg Config) (eng
 		} else {
 			uf.Union(int(first[s]), i)
 		}
+		// Row i's root is cached: most of its links join points already
+		// in its set, and those cost one Find instead of a Union.
+		ri := uf.Find(i)
 		lt.Row(i, func(j, _ int) {
 			if j > i {
-				uf.Union(i, j)
+				if rj := uf.Find(j); rj != ri {
+					uf.Union(ri, rj)
+					ri = uf.Find(ri)
+				}
 			}
 		})
 	}

@@ -12,6 +12,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -25,19 +26,13 @@ type Item int32
 type Transaction []Item
 
 // NewTransaction builds a canonical (sorted, deduplicated) transaction
-// from the given items. The input slice is not modified.
+// from the given items. The input slice is not modified, and the result is
+// never nil.
 func NewTransaction(items ...Item) Transaction {
 	t := make(Transaction, len(items))
 	copy(t, items)
-	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
-	// Deduplicate in place.
-	out := t[:0]
-	for i, it := range t {
-		if i == 0 || it != t[i-1] {
-			out = append(out, it)
-		}
-	}
-	return out
+	slices.Sort(t)
+	return slices.Compact(t)
 }
 
 // Len reports the number of items in the transaction.

@@ -3,6 +3,8 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +27,48 @@ func TestNewTransactionEmpty(t *testing.T) {
 	}
 	if !tr.Valid() {
 		t.Fatal("empty transaction not valid")
+	}
+}
+
+// newTransactionReference is NewTransaction as it was before it sorted
+// with slices.Sort: a copy, a reflection-based sort.Slice and an in-place
+// deduplication. It is the oracle for NewTransaction and the canonical form
+// readBasketReference builds with.
+func newTransactionReference(items ...Item) Transaction {
+	t := make(Transaction, len(items))
+	copy(t, items)
+	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
+	// Deduplicate in place.
+	out := t[:0]
+	for i, it := range t {
+		if i == 0 || it != t[i-1] {
+			out = append(out, it)
+		}
+	}
+	return out
+}
+
+// TestNewTransactionMatchesReference checks NewTransaction against the
+// sort.Slice version on random inputs with duplicates, negative ids and no
+// items, nil or not: same result, never nil, input untouched.
+func TestNewTransactionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		var items []Item
+		if n := rng.Intn(20); n > 0 || trial%2 == 0 {
+			items = make([]Item, n)
+		}
+		for i := range items {
+			items[i] = Item(rng.Intn(24) - 6)
+		}
+		in := slices.Clone(items)
+		got, want := NewTransaction(items...), newTransactionReference(items...)
+		if !reflect.DeepEqual(got, want) || got == nil {
+			t.Fatalf("NewTransaction(%v) = %#v, want %#v", in, got, want)
+		}
+		if !slices.Equal(items, in) {
+			t.Fatalf("NewTransaction modified its input: %v, was %v", items, in)
+		}
 	}
 }
 

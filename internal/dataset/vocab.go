@@ -25,6 +25,15 @@ func (v *Vocabulary) Intern(name string) Item {
 	return id
 }
 
+// internBytes is Intern for a name held in bytes: the lookup does not
+// allocate, so only a name's first use makes its string.
+func (v *Vocabulary) internBytes(name []byte) Item {
+	if id, ok := v.byName[string(name)]; ok {
+		return id
+	}
+	return v.Intern(string(name))
+}
+
 // Lookup returns the id for name without allocating.
 func (v *Vocabulary) Lookup(name string) (Item, bool) {
 	id, ok := v.byName[name]
