@@ -1,7 +1,7 @@
 package rock_test
 
 // One benchmark per table and figure of the paper's evaluation (E1..E8)
-// and per ablation or extension (A1..A6) — the experiment ids
+// and per ablation or extension (A1..A5) — the experiment ids
 // `rockbench -list` prints — each regenerating its experiment
 // through the harness in quick mode — run `cmd/rockbench` for the
 // paper-scale tables. Micro-benchmarks for the pipeline stages follow.
@@ -42,7 +42,6 @@ func BenchmarkA2QROCK(b *testing.B)               { benchExperiment(b, "A2") }
 func BenchmarkA3FTheta(b *testing.B)              { benchExperiment(b, "A3") }
 func BenchmarkA4Outliers(b *testing.B)            { benchExperiment(b, "A4") }
 func BenchmarkA5STIRR(b *testing.B)               { benchExperiment(b, "A5") }
-func BenchmarkA6LSHNeighbors(b *testing.B)        { benchExperiment(b, "A6") }
 
 // --- pipeline-stage micro-benchmarks ---
 
@@ -81,17 +80,6 @@ func BenchmarkNeighborsBrute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		similarity.Compute(d.Trans, 0.6, similarity.Options{})
-	}
-}
-
-func BenchmarkNeighborsLSH(b *testing.B) {
-	for _, n := range []int{1000, 2000} {
-		d := benchBasket(n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				similarity.ComputeLSH(d.Trans, 0.6, similarity.LSHOptions{Seed: 1})
-			}
-		})
 	}
 }
 

@@ -103,30 +103,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLSHLedgerLine: with -lsh the stats line reports the run's LSH
-// ledger (candidate pairs, verified edges, sampled recall); the exact
-// neighbor path prints no ledger.
-func TestLSHLedgerLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baskets.txt")
-	lines := "milk bread butter\nmilk bread jam\nmilk butter jam\nbread butter jam\n" +
-		"beer chips salsa\nbeer chips dip\nbeer salsa dip\nchips salsa dip\n"
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ledger := regexp.MustCompile(`^points=8 .* lsh-candidate-pairs=\d+ lsh-verified-edges=\d+ lsh-sampled-recall=[01]\.\d{3}\n`)
-	for _, lsh := range []bool{false, true} {
-		cfg := rock.Config{Theta: 0.3, K: 2, Seed: 1, LSHNeighbors: lsh}
-		var out bytes.Buffer
-		if err := run(&out, path, "basket", cfg, "", -1, -1, true, false, false, 0, 40); err != nil {
-			t.Fatalf("lsh=%v: %v", lsh, err)
-		}
-		printed := ledger.Match(out.Bytes())
-		if printed != lsh || (!lsh && strings.Contains(out.String(), "lsh-")) {
-			t.Fatalf("lsh=%v: ledger printed=%v in:\n%s", lsh, printed, out.String())
-		}
-	}
-}
-
 // TestStoppedEarlyOnStatsLine: the two basket templates share no item,
 // so their link graph has two components. At -k 1 the merge runs out of
 // cross links and the stats line says so; at -k 2 it reaches K and

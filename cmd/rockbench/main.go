@@ -1,13 +1,13 @@
 // Command rockbench regenerates the tables and figures of the paper's
 // evaluation (and the repository's ablations and extensions) on the
 // synthetic stand-in datasets. Run with no arguments for the full suite,
-// or name experiment ids (E1..E8, A1..A6; -list prints them).
+// or name experiment ids (E1..E8, A1..A5; -list prints them).
 //
 //	rockbench              # everything, paper-scale
 //	rockbench -quick E6    # shrunken timing sweep
 //	rockbench -list
 //	rockbench -serve       # HTTP serving sweep → BENCH_serve.json
-//	rockbench -neighbors   # exact-vs-LSH neighbor sweep → BENCH_neighbors.json
+//	rockbench -neighbors   # exact neighbor-phase scaling sweep → BENCH_neighbors.json
 //	rockbench -stream      # streaming ingestion sweep → BENCH_stream.json
 //	rockbench -zoo         # algorithm-zoo shootout → BENCH_zoo.json
 //
@@ -32,10 +32,10 @@ func main() {
 		list  = flag.Bool("list", false, "list experiment ids and exit")
 		out   = flag.String("out", "", "write reports to this file instead of stdout")
 		srv   = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
-		nbrs  = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs the LSH pipeline at θ=0.45 and θ=0.3) and write BENCH_neighbors.json (or -out)")
+		nbrs  = flag.Bool("neighbors", false, "run the neighbor-phase scaling sweep (the exact θ-query index at θ=0.45 and θ=0.3) and write BENCH_neighbors.json (or -out)")
 		strm  = flag.Bool("stream", false, "run the streaming-ingestion sweep (sustained ingest through a regime change with background refresh) and write BENCH_stream.json (or -out)")
 		zoos  = flag.Bool("zoo", false, "run the algorithm-zoo shootout (every registered engine vs ROCK on the labeled/votes/mushroom workloads) and write BENCH_zoo.json (or -out)")
-		long  = flag.Bool("long", false, "with -neighbors: add n=3×10⁵ at both θ, an exact-alone 10⁶ neighbor row and a 10⁶ chunked clustering run through LSH; minutes of runtime, fits 8 GB")
+		long  = flag.Bool("long", false, "with -neighbors: add n=3×10⁵ at both θ, a 10⁶ neighbor row and a 10⁶ chunked clustering run; minutes of runtime, fits 8 GB")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -97,20 +97,18 @@ func usage() {
 	fmt.Fprintf(w, `Usage: rockbench [flags] [experiment ids...]
 
 Regenerates the tables and figures of the paper's evaluation (E1..E8) and
-the repo's ablations (A1..A6) on the synthetic stand-in datasets, plus
+the repo's ablations (A1..A5) on the synthetic stand-in datasets, plus
 the performance-trajectory records — one bench mode per record:
 
   -serve   HTTP serving sweep                      → BENCH_serve.json
            (concurrent clients against an in-process rockserve stack:
            client-side p50/p95/p99 latency, throughput, and batching
            effectiveness at two worker and two concurrency settings)
-  -neighbors  neighbor-phase sweep                 → BENCH_neighbors.json
-           (the exact θ-query index vs the sort-based sharded LSH
-           pipeline, 96 hashes / 32 bands, on hub-heavy baskets at
-           θ=0.45 and θ=0.3 for n = 10⁴, 3×10⁴, 10⁵, with edge recall
-           measured against every exact edge; add -long for n=3×10⁵ at
-           both θ, a 10⁶ row timing the exact index alone, and an
-           end-to-end 10⁶ chunked clustering run through LSH)
+  -neighbors  neighbor-phase scaling sweep         → BENCH_neighbors.json
+           (the exact θ-query index on hub-heavy baskets at θ=0.45 and
+           θ=0.3 for n = 10⁴, 3×10⁴, 10⁵, each time the median of 3
+           runs; add -long for n=3×10⁵ at both θ, a 10⁶ row at θ=0.45,
+           and an end-to-end 10⁶ chunked clustering run)
   -stream  streaming-ingestion sweep               → BENCH_stream.json
            (sustained Ingest throughput through a regime change: stable,
            drift-until-refreshed, and post-refresh phases, plus the

@@ -1,8 +1,7 @@
 // Package chunkwork provides the chunked atomic-cursor work-claiming
 // loop shared by the pipeline's sharded phases: the labeling phase and
-// Model.AssignBatch (core), the neighbor computations and every stage of
-// the sort-based LSH pipeline (similarity), and the link builder
-// (linkage.Build).
+// Model.AssignBatch (core), the neighbor computations (similarity), and
+// the link builder (linkage.Build).
 //
 // The pattern: workers goroutines (the calling goroutine participates as
 // one of them, so a Run costs workers−1 spawns) repeatedly claim
@@ -33,8 +32,8 @@ const DefaultChunk = 64
 // chunk of [0,n): it returns lo < hi and ok=true until the range is
 // drained, then ok=false forever. A worker typically allocates or
 // fetches its scratch once, loops next(), and releases the scratch —
-// the scratch-pooling shape the labeler and the LSH signature stage
-// share. Run returns when every worker has returned.
+// the scratch-pooling shape the labeler and the neighbor queries share.
+// Run returns when every worker has returned.
 func Run(n, workers, chunk int, worker func(next func() (lo, hi int, ok bool))) {
 	if n <= 0 {
 		return

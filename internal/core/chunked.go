@@ -85,7 +85,6 @@ func ChunkedCluster(ts []dataset.Transaction, cfg ChunkedConfig) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		res.Stats.foldLSH(sub.Stats.LSHCandidatePairs, sub.Stats.LSHVerifiedEdges, sub.Stats.LSHRecallSampled, sub.Stats.LSHRecall)
 		for _, members := range sub.Clusters {
 			cc := chunkCluster{members: make([]int, len(members))}
 			for i, p := range members {
@@ -120,7 +119,6 @@ func ChunkedCluster(ts []dataset.Transaction, cfg ChunkedConfig) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.foldLSH(final.Stats.LSHCandidatePairs, final.Stats.LSHVerifiedEdges, final.Stats.LSHRecallSampled, final.Stats.LSHRecall)
 
 	// Phase 3: each chunk cluster inherits the majority final cluster of
 	// its representatives; its members follow.

@@ -98,30 +98,3 @@ func TestChunkedClusterOutliersPropagate(t *testing.T) {
 		t.Fatalf("outliers = %d, want ≥ 6 junk points", len(res.Outliers))
 	}
 }
-
-// ChunkedCluster folds every sub-run's LSH quality ledger (per-chunk
-// runs plus the representative run) into the aggregate Stats, so a
-// million-point chunked run still reports candidate volume and recall.
-func TestChunkedClusterLSHLedgerAggregates(t *testing.T) {
-	ts, _ := groupedData(3, 120, 75)
-	res, err := ChunkedCluster(ts, ChunkedConfig{
-		Base:      Config{Theta: 0.3, K: 3, Seed: 7, LSHNeighbors: true, LSHHashes: 128, LSHBands: 64},
-		ChunkSize: 90,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartition(t, res, len(ts))
-	st := res.Stats
-	if st.LSHCandidatePairs <= 0 || st.LSHVerifiedEdges <= 0 || st.LSHCandidatePairs < st.LSHVerifiedEdges {
-		t.Fatalf("implausible aggregated ledger: %+v", st)
-	}
-	// 360 points in chunks of 90 → four chunk runs plus the
-	// representative run, each sampling up to DefaultRecallSample rows.
-	if st.LSHRecallSampled <= 64 {
-		t.Fatalf("sampled %d rows, want more than one sub-run's worth", st.LSHRecallSampled)
-	}
-	if st.LSHRecall <= 0 || st.LSHRecall > 1 {
-		t.Fatalf("aggregated recall %g outside (0,1]", st.LSHRecall)
-	}
-}

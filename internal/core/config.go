@@ -29,8 +29,9 @@ type Config struct {
 	// over cluster sizes; GoodnessLinkCount and GoodnessLinksPerPair are
 	// the ablations experiment A1 compares it with.
 	Goodness Goodness
-	// Measure is the similarity; nil selects Jaccard. The built-in
-	// measures find θ-neighbors through an inverted item index. A custom
+	// Measure is the similarity; nil selects Jaccard. The neighbor phase
+	// is exact for every measure: the built-in measures find θ-neighbors
+	// through the item postings of a similarity.Index. A custom
 	// Measure, which may be positive on disjoint transactions, runs
 	// pairwise in both the neighbor and the labeling phase: O(n²) over
 	// the sample, and O(candidates × Σ|L_i|) labeling.
@@ -38,21 +39,6 @@ type Config struct {
 	// IncludeSelf makes every point its own neighbor, as some ROCK
 	// descriptions assume. Default false (matches pyclustering/cba).
 	IncludeSelf bool
-	// LSHNeighbors switches the neighbor phase to MinHash banded LSH
-	// with exact verification of candidates. It finds no false-positive
-	// neighbors but misses edges; the LSH* fields of Stats report a
-	// sampled recall. On the hub-heavy baskets of BENCH_neighbors.json
-	// the exact index is faster at θ=0.45 at every size; LSH is faster
-	// only at low θ on large samples (θ=0.3, 3×10⁵ points: 26 s against
-	// 32 s, medians of three runs, at recall 0.79 with 96/32 banding;
-	// banded for recall 0.93 it is no faster). LSHHashes and LSHBands
-	// tune the S-curve (defaults 96/24, band threshold ≈ 0.45); recall
-	// falls as θ nears the threshold, and at 10⁴ points the defaults
-	// found 85% of the edges at θ=0.5, 77% at 0.45 and 52% at 0.35. The
-	// run stays deterministic under Seed.
-	LSHNeighbors bool
-	LSHHashes    int
-	LSHBands     int
 
 	// SampleSize, when positive and smaller than the dataset, clusters a
 	// uniform random sample of that size and assigns the remaining points

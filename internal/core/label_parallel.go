@@ -45,8 +45,8 @@ func (lb *labeler) run(candidates []int, workers, serialBelow int) []int {
 // worker's scratch (the model routes them through its pool; the
 // pipeline allocates fresh per worker). workers ≤ 1, or n below a
 // positive serialBelow, takes the serial loop; the parallel path is
-// chunkwork.Run, the claim loop shared with the neighbor and LSH
-// stages. Either way the output is byte-identical, queries being
+// chunkwork.Run, the claim loop shared with the neighbor and link
+// phases. Either way the output is byte-identical, queries being
 // independent.
 func (lb *labeler) runEach(n int, at func(int) dataset.Transaction, workers, serialBelow int, get func() *labelScratch, put func(*labelScratch)) []int {
 	out := make([]int, n)

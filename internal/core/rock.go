@@ -61,40 +61,12 @@ type Stats struct {
 	LinkPairs       int     // undirected pairs with positive link count
 	LinkEntries     int64   // directed CSR link entries (2×LinkPairs; int64 — big tables pass 2³¹)
 	Merges          int
-	// The LSH quality ledger, populated when the neighbor phase ran the
-	// approximate pipeline (Config.LSHNeighbors; ChunkedCluster
-	// aggregates its sub-runs). Zero otherwise.
-	LSHCandidatePairs int64   // unique unordered candidate pairs banding generated
-	LSHVerifiedEdges  int64   // candidates that passed the exact θ-test
-	LSHRecallSampled  int     // rows sampled for the recall estimate (0 = not measured)
-	LSHRecall         float64 // sampled edge recall vs the exact neighbor relation
 	// StoppedEarly reports that the merge ran out of cross links before
 	// reaching K: more than K clusters remain, each a whole connected
 	// component of the link graph over the points the merge kept.
 	StoppedEarly  bool
 	ClustersFound int
 	FVal          float64 // the exponent f(θ) in effect
-}
-
-// addLSH folds one neighbor run's LSH ledger into the stats.
-func (s *Stats) addLSH(l *similarity.LSHStats) {
-	if l == nil {
-		return
-	}
-	s.foldLSH(l.CandidatePairs, l.VerifiedEdges, l.RecallSampled, l.Recall)
-}
-
-// foldLSH accumulates ledger counts; the recall estimate is averaged
-// weighted by sampled rows, so an aggregate run (ChunkedCluster) reports
-// the recall over every sample its sub-runs drew.
-func (s *Stats) foldLSH(pairs, edges int64, sampled int, recall float64) {
-	s.LSHCandidatePairs += pairs
-	s.LSHVerifiedEdges += edges
-	if sampled > 0 {
-		tot := s.LSHRecallSampled + sampled
-		s.LSHRecall = (s.LSHRecall*float64(s.LSHRecallSampled) + recall*float64(sampled)) / float64(tot)
-		s.LSHRecallSampled = tot
-	}
 }
 
 // K returns the number of clusters found.
@@ -270,26 +242,12 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	return res, nil
 }
 
-// neighborPhase computes the θ-neighbor lists of ts, on the exact
-// θ-query index or, with cfg.LSHNeighbors, on the MinHash/LSH pipeline,
-// and records m_a, m_m and the LSH quality ledger in stats. Cluster and
-// QRock share it; cfg must have its defaults applied.
+// neighborPhase computes the θ-neighbor lists of ts on the exact
+// θ-query index and records m_a and m_m in stats. Cluster and QRock
+// share it; cfg must have its defaults applied.
 func neighborPhase(ts []dataset.Transaction, cfg Config, stats *Stats) *similarity.Neighbors {
-	var nb *similarity.Neighbors
-	if cfg.LSHNeighbors {
-		nb = similarity.ComputeLSH(ts, cfg.Theta, similarity.LSHOptions{
-			Hashes:      cfg.LSHHashes,
-			Bands:       cfg.LSHBands,
-			Seed:        cfg.Seed,
-			Measure:     cfg.Measure,
-			IncludeSelf: cfg.IncludeSelf,
-			Workers:     cfg.Workers,
-		})
-	} else {
-		nb = similarity.ComputeIndexed(ts, cfg.Theta, similarity.Options{Measure: cfg.Measure, IncludeSelf: cfg.IncludeSelf, Workers: cfg.Workers})
-	}
+	nb := similarity.ComputeIndexed(ts, cfg.Theta, similarity.Options{Measure: cfg.Measure, IncludeSelf: cfg.IncludeSelf, Workers: cfg.Workers})
 	stats.AvgNeighbors, stats.MaxNeighbors, _ = nb.Stats()
-	stats.addLSH(nb.LSH)
 	return nb
 }
 

@@ -248,13 +248,11 @@ func TestClusterValidation(t *testing.T) {
 // or is out of order, naming it, instead of panicking or clustering it.
 func TestEntryPointsRejectMalformedTransactions(t *testing.T) {
 	cfg := Config{Theta: 0.3, K: 1}
-	lsh := Config{Theta: 0.3, K: 1, LSHNeighbors: true}
 	entries := []struct {
 		name string
 		run  func([]dataset.Transaction) error
 	}{
 		{"Cluster", func(ts []dataset.Transaction) error { _, err := Cluster(ts, cfg); return err }},
-		{"Cluster/LSH", func(ts []dataset.Transaction) error { _, err := Cluster(ts, lsh); return err }},
 		{"ClusterSeeded", func(ts []dataset.Transaction) error { _, err := ClusterSeeded(ts, [][]int{{0, 1}}, cfg); return err }},
 		{"ChunkedCluster", func(ts []dataset.Transaction) error {
 			_, err := ChunkedCluster(ts, ChunkedConfig{Base: cfg, ChunkSize: 2})
@@ -356,69 +354,15 @@ func TestResultSizes(t *testing.T) {
 	}
 }
 
-func TestClusterWithLSHNeighbors(t *testing.T) {
-	ts, truth := groupedData(3, 50, 61)
-	exact, err := Cluster(ts, Config{Theta: 0.3, K: 3, Seed: 1})
+// TestStatsLinkEntriesTwicePairs: the link table stores each linked pair
+// once per direction, so the ledger's entry count is twice its pairs.
+func TestStatsLinkEntriesTwicePairs(t *testing.T) {
+	ts, _ := groupedData(3, 50, 61)
+	res, err := Cluster(ts, Config{Theta: 0.3, K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := Cluster(ts, Config{Theta: 0.3, K: 3, Seed: 1, LSHNeighbors: true, LSHHashes: 128, LSHBands: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartition(t, lsh, len(ts))
-	if lsh.K() != exact.K() {
-		t.Fatalf("LSH found %d clusters, exact %d", lsh.K(), exact.K())
-	}
-	// The approximate run must still recover the group structure.
-	for _, members := range lsh.Clusters {
-		g := truth[members[0]]
-		for _, p := range members {
-			if truth[p] != g {
-				t.Fatal("LSH clustering mixed groups")
-			}
-		}
-	}
-	// Determinism holds for the LSH path too.
-	again, err := Cluster(ts, Config{Theta: 0.3, K: 3, Seed: 1, LSHNeighbors: true, LSHHashes: 128, LSHBands: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lsh.Assign {
-		if lsh.Assign[i] != again.Assign[i] {
-			t.Fatal("LSH path nondeterministic")
-		}
-	}
-
-	// The run's quality ledger must be populated — and absent on the
-	// exact run.
-	st := lsh.Stats
-	if st.LSHCandidatePairs <= 0 || st.LSHVerifiedEdges <= 0 || st.LSHCandidatePairs < st.LSHVerifiedEdges {
-		t.Fatalf("implausible LSH ledger: %+v", st)
-	}
-	if st.LSHRecallSampled <= 0 || st.LSHRecall <= 0 || st.LSHRecall > 1 {
-		t.Fatalf("recall estimate missing from ledger: %+v", st)
-	}
-	if e := exact.Stats; e.LSHCandidatePairs != 0 || e.LSHVerifiedEdges != 0 || e.LSHRecallSampled != 0 || e.LSHRecall != 0 {
-		t.Fatalf("exact run carries an LSH ledger: %+v", e)
-	}
-	if st.LinkEntries != 2*int64(st.LinkPairs) {
-		t.Fatalf("LinkEntries %d != 2×LinkPairs %d", st.LinkEntries, st.LinkPairs)
-	}
-}
-
-func TestStatsFoldLSHWeightsRecall(t *testing.T) {
-	var s Stats
-	s.foldLSH(100, 40, 60, 1.0)
-	s.foldLSH(50, 10, 0, 0) // sub-run with the estimator disabled
-	s.foldLSH(200, 80, 20, 0.6)
-	if s.LSHCandidatePairs != 350 || s.LSHVerifiedEdges != 130 {
-		t.Fatalf("counts not summed: %+v", s)
-	}
-	if s.LSHRecallSampled != 80 {
-		t.Fatalf("sampled rows = %d, want 80", s.LSHRecallSampled)
-	}
-	if want := (1.0*60 + 0.6*20) / 80; s.LSHRecall < want-1e-12 || s.LSHRecall > want+1e-12 {
-		t.Fatalf("recall = %g, want weighted mean %g", s.LSHRecall, want)
+	if st := res.Stats; st.LinkPairs == 0 || st.LinkEntries != 2*int64(st.LinkPairs) {
+		t.Fatalf("LinkEntries %d, LinkPairs %d: want twice a positive count", st.LinkEntries, st.LinkPairs)
 	}
 }

@@ -106,16 +106,10 @@ func evalNote(name string, ev metrics.Eval) string {
 // form of the E-report notes: neighbor densities (the paper's m_a/m_m),
 // the CSR link table volume (link-entries is the directed entry count
 // the link builder materialized, 2× the undirected pairs), and the
-// outlier/merge counters. When the run used the approximate LSH
-// neighbor phase its quality ledger is appended.
+// outlier/merge counters.
 func linkStatsNote(st core.Stats) string {
-	s := fmt.Sprintf("stats: m_a=%.1f m_m=%d link-pairs=%d link-entries=%d pruned=%d weeded=%d merges=%d",
+	return fmt.Sprintf("stats: m_a=%.1f m_m=%d link-pairs=%d link-entries=%d pruned=%d weeded=%d merges=%d",
 		st.AvgNeighbors, st.MaxNeighbors, st.LinkPairs, st.LinkEntries, st.Pruned, st.Weeded, st.Merges)
-	if st.LSHCandidatePairs > 0 {
-		s += fmt.Sprintf("; lsh: candidates=%d verified=%d recall≈%.3f (%d rows sampled)",
-			st.LSHCandidatePairs, st.LSHVerifiedEdges, st.LSHRecall, st.LSHRecallSampled)
-	}
-	return s
 }
 
 // timeIt measures the wall-clock duration of f in seconds.
@@ -125,15 +119,14 @@ func timeIt(f func()) float64 {
 	return time.Since(start).Seconds()
 }
 
-// bestOf returns the fastest of k timed runs of f, in seconds.
-func bestOf(k int, f func()) float64 {
-	best := 0.0
-	for i := 0; i < k; i++ {
-		if s := timeIt(f); i == 0 || s < best {
-			best = s
-		}
+// medianOf returns the median of k timed runs of f, in seconds.
+func medianOf(k int, f func()) float64 {
+	secs := make([]float64, k)
+	for i := range secs {
+		secs[i] = timeIt(f)
 	}
-	return best
+	sort.Float64s(secs)
+	return secs[k/2]
 }
 
 // subsetPrefix takes the first n records of a dataset (generators

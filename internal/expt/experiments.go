@@ -14,9 +14,10 @@ type Options struct {
 	// runs.
 	Quick bool
 	Seed  int64
-	// Long unlocks the million-point rows of the neighbor sweep
-	// (BenchNeighbors): a 10⁶-point LSH neighbor run and a full chunked
-	// clustering at that scale. Minutes of runtime; off by default.
+	// Long unlocks the large rows of the neighbor sweep
+	// (BenchNeighbors): n=3×10⁵, a 10⁶-point neighbor row and a full
+	// chunked clustering at that scale. Minutes of runtime; off by
+	// default.
 	Long bool
 }
 
@@ -69,7 +70,6 @@ var registry = map[string]struct {
 	"A3": {"Ablation: f(θ) exponent sensitivity", runA3},
 	"A4": {"Ablation: outlier pruning and weeding", runA4},
 	"A5": {"Extension: STIRR and the revised dynamical system vs ROCK", runA5},
-	"A6": {"Extension: MinHash LSH neighbors vs exact index (time, recall, quality)", runA6},
 }
 
 // IDs lists the experiment ids in canonical order.

@@ -10,8 +10,8 @@ import (
 
 func TestIDsStableAndTitled(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 14 {
-		t.Fatalf("have %d experiments, want 14: %v", len(ids), ids)
+	if len(ids) != 13 {
+		t.Fatalf("have %d experiments, want 13: %v", len(ids), ids)
 	}
 	for _, id := range ids {
 		if Title(id) == "" {
@@ -198,25 +198,8 @@ func TestBenchNeighborsQuick(t *testing.T) {
 	thetas := map[float64]int{}
 	for _, row := range rep.Rows {
 		thetas[row.Theta]++
-		if row.ExactSec <= 0 || row.LSHSec <= 0 || row.ExactEdges <= 0 {
+		if row.ExactSec <= 0 || row.ExactEdges <= 0 {
 			t.Fatalf("missing timing or exact edges in row %+v", row)
-		}
-		if row.CandidatePairs < row.VerifiedEdges || row.VerifiedEdges <= 0 {
-			t.Fatalf("implausible ledger in row %+v", row)
-		}
-		switch row.Theta {
-		case 0.45:
-			if !row.RecallMeasured || row.Recall < 0.9 {
-				t.Fatalf("row n=%d θ=0.45: recall %.4f (measured=%v), want measured ≥ 0.9", row.N, row.Recall, row.RecallMeasured)
-			}
-		case 0.3:
-			// θ sits at the 96/32 band threshold, so recall is well
-			// below 1; the row records it rather than meeting a floor.
-			if !row.RecallMeasured || row.Recall <= 0 || row.Recall > 1 {
-				t.Fatalf("row n=%d θ=0.3: recall %.4f (measured=%v), want measured in (0,1]", row.N, row.Recall, row.RecallMeasured)
-			}
-		default:
-			t.Fatalf("unexpected θ in row %+v", row)
 		}
 	}
 	if thetas[0.45] != 2 || thetas[0.3] != 2 {

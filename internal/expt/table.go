@@ -1,7 +1,7 @@
 // Package expt regenerates every table and figure of the paper's
 // evaluation, plus the repo's own ablations, on the synthetic stand-in
 // datasets. Each experiment is addressed by a stable id (E1..E8 for the
-// paper's tables, A1..A6 for the ablations), produces a report with
+// paper's tables, A1..A5 for the ablations), produces a report with
 // formatted tables and figure series, and is runnable through
 // cmd/rockbench or the bench_test.go targets.
 //

@@ -211,20 +211,24 @@ func streamModel() (pts, queries []dataset.Transaction) {
 
 // TestIndexWorkCounts pins the index's work at Workers 1/2/4/8: the
 // queries on each path, posting reads and counted candidates of
-// ComputeIndexed on dense planted labels and hub baskets, and of
-// labeler queries against a stream-drift-shaped model. Every count is a
-// function of the inputs alone, so an algorithmic change to either path
-// moves a pin without a wall-clock threshold.
+// ComputeIndexed on dense planted labels and on hub baskets at θ=0.45
+// and θ=0.3, and of labeler queries against a stream-drift-shaped
+// model. Every count is a function of the inputs alone, so an
+// algorithmic change to either path, or to the rule that picks between
+// them, moves a pin without a wall-clock threshold: a probe budget of 1,
+// 3, 5 or 8 full counts instead of 4 moves a hub-baskets pin.
 func TestIndexWorkCounts(t *testing.T) {
 	want := map[string]queryWork{
-		"planted labels n=300": {fulls: 300, reads: 107194, candidates: 21757},
-		"hub baskets n=2000":   {probes: 1177, fulls: 823, reads: 82637, candidates: 68911},
-		"stream model queries": {fulls: 512, reads: 68131, candidates: 12800},
+		"planted labels n=300":     {fulls: 300, reads: 107194, candidates: 21757},
+		"hub baskets n=2000":       {probes: 1729, fulls: 271, reads: 16140, candidates: 6650},
+		"hub baskets n=2000 θ=0.3": {probes: 1491, fulls: 509, reads: 66987, candidates: 49460},
+		"stream model queries":     {fulls: 512, reads: 68131, candidates: 12800},
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		got := map[string]queryWork{}
 		_, got["planted labels n=300"] = computeIndexed(plantedLabels(300), 0.5, Options{Workers: w})
 		_, got["hub baskets n=2000"] = computeIndexed(hubBaskets(), 0.45, Options{Workers: w})
+		_, got["hub baskets n=2000 θ=0.3"] = computeIndexed(hubBaskets(), 0.3, Options{Workers: w})
 
 		pts, queries := streamModel()
 		ix := NewIndex(pts, 0.35, nil)

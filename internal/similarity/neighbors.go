@@ -3,7 +3,6 @@ package similarity
 import (
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/rockclust/rock/internal/chunkwork"
@@ -15,10 +14,6 @@ import (
 // Lists[i] is controlled by Options.IncludeSelf.
 type Neighbors struct {
 	Lists [][]int32
-	// LSH carries the quality ledger of the run when the lists were
-	// produced by the approximate ComputeLSH pipeline; nil for the exact
-	// computations.
-	LSH *LSHStats
 }
 
 // Len reports the number of points.
@@ -26,13 +21,6 @@ func (nb *Neighbors) Len() int { return len(nb.Lists) }
 
 // Degree reports the number of neighbors of point i.
 func (nb *Neighbors) Degree(i int) int { return len(nb.Lists[i]) }
-
-// Contains reports whether j is a neighbor of i.
-func (nb *Neighbors) Contains(i int, j int32) bool {
-	l := nb.Lists[i]
-	k := sort.Search(len(l), func(k int) bool { return l[k] >= j })
-	return k < len(l) && l[k] == j
-}
 
 // Stats summarizes neighbor-list sizes: the average and maximum degree,
 // written m_a and m_m in the paper's complexity analysis, and the total

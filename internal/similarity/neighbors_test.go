@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
@@ -26,8 +27,8 @@ func TestComputeSmall(t *testing.T) {
 			}
 		}
 	}
-	if !nb.Contains(0, 1) || nb.Contains(0, 2) {
-		t.Fatal("Contains wrong")
+	if !slices.Contains(nb.Lists[0], 1) || slices.Contains(nb.Lists[0], 2) {
+		t.Fatal("Lists[0] wrong")
 	}
 	avg, max, total := nb.Stats()
 	if total != 2 || max != 1 || avg != 0.5 {
@@ -39,11 +40,11 @@ func TestIncludeSelf(t *testing.T) {
 	ts := []dataset.Transaction{tr(1), tr(2), tr()} // note: empty transaction
 	for _, f := range []func([]dataset.Transaction, float64, Options) *Neighbors{Compute, ComputeIndexed} {
 		nb := f(ts, 0.9, Options{IncludeSelf: true})
-		if !nb.Contains(0, 0) || !nb.Contains(1, 1) {
+		if !slices.Contains(nb.Lists[0], 0) || !slices.Contains(nb.Lists[1], 1) {
 			t.Fatal("self missing from neighbor list")
 		}
 		// sim(∅,∅) = 0 < θ: the empty transaction is not its own neighbor.
-		if nb.Contains(2, 2) {
+		if slices.Contains(nb.Lists[2], 2) {
 			t.Fatal("empty transaction must not be its own neighbor")
 		}
 	}
@@ -53,7 +54,7 @@ func TestThetaBoundaries(t *testing.T) {
 	ts := []dataset.Transaction{tr(1, 2), tr(1, 2), tr(3)}
 	// θ=1 keeps only identical non-empty transactions.
 	nb := Compute(ts, 1.0, Options{})
-	if !nb.Contains(0, 1) || nb.Contains(0, 2) || nb.Degree(2) != 0 {
+	if !slices.Contains(nb.Lists[0], 1) || slices.Contains(nb.Lists[0], 2) || nb.Degree(2) != 0 {
 		t.Fatalf("theta=1 lists: %v", nb.Lists)
 	}
 	// θ=0 makes everything a neighbor of everything (brute force path).
@@ -180,7 +181,7 @@ func TestNeighborSymmetry(t *testing.T) {
 	nb := ComputeIndexed(ts, 0.3, Options{})
 	for i := range ts {
 		for _, j := range nb.Lists[i] {
-			if !nb.Contains(int(j), int32(i)) {
+			if !slices.Contains(nb.Lists[int(j)], int32(i)) {
 				t.Fatalf("asymmetric: %d has neighbor %d but not vice versa", i, j)
 			}
 		}
