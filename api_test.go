@@ -69,17 +69,17 @@ func TestPublicEncodeRecords(t *testing.T) {
 func TestPublicMeasures(t *testing.T) {
 	a := rock.NewTransaction(1, 2, 3)
 	b := rock.NewTransaction(2, 3, 4)
-	if got := rock.Jaccard(a, b); got != 0.5 {
+	if got := rock.Jaccard.Sim(a, b); got != 0.5 {
 		t.Fatalf("Jaccard = %g", got)
 	}
-	if rock.Dice(a, b) <= rock.Jaccard(a, b) {
+	if rock.Dice.Sim(a, b) <= rock.Jaccard.Sim(a, b) {
 		t.Fatal("Dice should exceed Jaccard on partial overlap")
 	}
-	if rock.Cosine(a, b) <= 0 || rock.Overlap(a, b) <= 0 {
+	if rock.Cosine.Sim(a, b) <= 0 || rock.Overlap.Sim(a, b) <= 0 {
 		t.Fatal("measures broken")
 	}
-	if got := rock.AttributeMeasure(4)(a, b); got != 0.5 {
-		t.Fatalf("AttributeMeasure = %g", got)
+	if (rock.Config{}).Measure != rock.Jaccard {
+		t.Fatal("the zero Measure must be Jaccard")
 	}
 }
 
@@ -145,8 +145,8 @@ func TestPublicModelServing(t *testing.T) {
 	if _, err := rock.LoadModel(strings.NewReader("not a model")); !errors.Is(err, rock.ErrModelTruncated) && !errors.Is(err, rock.ErrModelMagic) {
 		t.Fatalf("garbage load error not a sentinel: %v", err)
 	}
-	if _, err := rock.Freeze(d.Trans, res, rock.Config{Theta: 0.4, K: 4, Measure: func(a, b rock.Transaction) float64 { return 1 }}); err == nil {
-		t.Fatal("custom measure froze")
+	if _, err := rock.Freeze(d.Trans, res, rock.Config{Theta: 0.4, K: 4, Measure: rock.Overlap + 1}); err == nil {
+		t.Fatal("a value past the last measure froze")
 	}
 }
 

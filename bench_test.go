@@ -60,7 +60,7 @@ func BenchmarkJaccard(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rock.Jaccard(d.Trans[i%32], d.Trans[32+i%32])
+		rock.Jaccard.Sim(d.Trans[i%32], d.Trans[32+i%32])
 	}
 }
 
@@ -123,7 +123,7 @@ func benchAssignFixture(b *testing.B, n int) (*rock.Model, []rock.Transaction) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.FreezeSets(ts, sets, nil, 0.6, rock.MarketBasketF(0.6), nil)
+	m, err := core.FreezeSets(ts, sets, nil, 0.6, rock.MarketBasketF(0.6), rock.Jaccard)
 	if err != nil {
 		b.Fatal(err)
 	}

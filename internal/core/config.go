@@ -29,12 +29,9 @@ type Config struct {
 	// over cluster sizes; GoodnessLinkCount and GoodnessLinksPerPair are
 	// the ablations experiment A1 compares it with.
 	Goodness Goodness
-	// Measure is the similarity; nil selects Jaccard. The neighbor phase
-	// is exact for every measure: the built-in measures find θ-neighbors
-	// through the item postings of a similarity.Index. A custom
-	// Measure, which may be positive on disjoint transactions, runs
-	// pairwise in both the neighbor and the labeling phase: O(n²) over
-	// the sample, and O(candidates × Σ|L_i|) labeling.
+	// Measure is the similarity, one of the four measures the
+	// similarity package counts from item postings; the zero value is
+	// Jaccard, the paper's measure.
 	Measure similarity.Measure
 	// IncludeSelf makes every point its own neighbor, as some ROCK
 	// descriptions assume. Default false (matches pyclustering/cba).
@@ -71,9 +68,7 @@ type Config struct {
 	// are byte-identical for every worker count. Labeling shards only
 	// runs of 1024 or more candidates; below that the goroutine handoff
 	// costs more than it saves. Both the neighbor and the labeling phase
-	// query a similarity.Index, which is exact for every Measure: item
-	// postings for the built-in measures, pairwise evaluation for custom
-	// Measure funcs.
+	// query a similarity.Index, which is exact for every Measure and θ.
 	Workers int
 
 	// TraceMerges records every merge step into Result.MergeTrace,
@@ -98,9 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.F == nil {
 		c.F = MarketBasketF
 	}
-	if c.Measure == nil {
-		c.Measure = similarity.Jaccard
-	}
 	if c.WeedAt > 0 && c.WeedMaxSize == 0 {
 		c.WeedMaxSize = 2
 	}
@@ -117,7 +109,7 @@ func (c Config) withDefaults() Config {
 // is checked for NaN explicitly, because a NaN fails no range
 // comparison, and f(θ) must be finite.
 func (c Config) Validate() error {
-	if err := checkThetaF(c.Theta, c.withDefaults().fval()); err != nil {
+	if err := checkModelParams(c.Theta, c.withDefaults().fval(), c.Measure); err != nil {
 		return err
 	}
 	if c.K < 1 {
@@ -150,14 +142,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// checkThetaF reports whether θ lies in [0,1] and the exponent f is
-// finite. Config.Validate and FreezeSets share it.
-func checkThetaF(theta, f float64) error {
+// checkModelParams reports whether θ lies in [0,1], the exponent f is
+// finite and m names a measure: the parameters a model freezes.
+// Config.Validate and FreezeSets share it.
+func checkModelParams(theta, f float64, m similarity.Measure) error {
 	if math.IsNaN(theta) || theta < 0 || theta > 1 {
 		return fmt.Errorf("core: theta %g outside [0,1]", theta)
 	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return fmt.Errorf("core: exponent f %g is not finite", f)
+	}
+	if m > similarity.Overlap {
+		return fmt.Errorf("core: unknown measure %d", m)
 	}
 	return nil
 }

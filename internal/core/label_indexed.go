@@ -14,11 +14,9 @@ import (
 // pair. The production labeler asks one similarity.Index, built over the
 // labeled points of every L_i flattened into one slice, for the
 // candidate's θ-neighbors and tallies them per set. The index answers
-// exactly for every measure and θ (it reads item postings for a built-in
-// measure at θ > 0 and falls back to the pairwise scan otherwise; the
-// exactness argument is on similarity.Index), so each N_i equals the
-// reference's count, and the score and tie rule below reproduce the
-// reference's choice.
+// exactly for every measure and θ (the exactness argument is on
+// similarity.Index), so each N_i equals the reference's count, and the
+// score and tie rule below reproduce the reference's choice.
 type labeler struct {
 	ts []dataset.Transaction // the dataset that run's candidates index
 
@@ -30,9 +28,9 @@ type labeler struct {
 	setOf []int32           // flattened labeled point → owning cluster index
 }
 
-// newLabeler prepares the labeling phase for the given cluster subsets.
-// A nil sim selects Jaccard, mirroring Config.withDefaults.
-func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim similarity.Measure) *labeler {
+// newLabeler prepares the labeling phase for the given cluster subsets
+// under measure m.
+func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, m similarity.Measure) *labeler {
 	lb := &labeler{ts: ts, denom: make([]float64, len(sets))}
 	var pts []dataset.Transaction
 	for i, li := range sets {
@@ -42,7 +40,7 @@ func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim si
 			lb.setOf = append(lb.setOf, int32(i))
 		}
 	}
-	lb.ix = similarity.NewIndex(pts, theta, sim)
+	lb.ix = similarity.NewIndex(pts, theta, m)
 	return lb
 }
 

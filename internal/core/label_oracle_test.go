@@ -11,26 +11,12 @@ import (
 	"github.com/rockclust/rock/internal/similarity"
 )
 
-// customLabelMeasure is deliberately NOT a function of (|a∩b|, |a|, |b|)
-// alone — it is positive on disjoint transactions — so the indexed path
-// would be wrong for it. similarity.Counted must return nil and the
-// labeler must take the pairwise fallback, which this file proves against
-// the reference on the same footing as the built-ins.
-func customLabelMeasure(a, b dataset.Transaction) float64 {
-	d := len(a) - len(b)
-	if d < 0 {
-		d = -d
-	}
-	return 1 / (1 + float64(d))
-}
-
 // labelWorkerCounts mirrors oracleWorkerCounts for the labeling phase,
 // per the acceptance criteria.
 var labelWorkerCounts = []int{1, 2, 4, 8}
 
 // labelOracleMeasures are the measures every label-oracle configuration
-// cycles through: all four counted built-ins plus the pairwise-only
-// custom one.
+// cycles through: all four.
 var labelOracleMeasures = []struct {
 	name string
 	fn   similarity.Measure
@@ -39,7 +25,6 @@ var labelOracleMeasures = []struct {
 	{"dice", similarity.Dice},
 	{"cosine", similarity.Cosine},
 	{"overlap", similarity.Overlap},
-	{"custom", customLabelMeasure},
 }
 
 // TestLabelOracleRandom proves the indexed/parallel labeler assignment-
@@ -195,41 +180,11 @@ func labelOracleCandidates(t *testing.T, ts []dataset.Transaction, cfg Config) [
 	return candidates
 }
 
-// TestLabelIndexedFallbackSelection pins the dispatch rule of the
-// labeler's index: built-in measures at θ > 0 scan item postings; custom
-// measures and θ ≤ 0 (where disjoint pairs are neighbors, invisible to
-// postings) must query pairwise.
-func TestLabelIndexedFallbackSelection(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ts := randomTransactionsCore(r, 40, 5, 12)
-	sets := [][]int{{0, 1, 2}, {3, 4}}
-	cases := []struct {
-		name    string
-		theta   float64
-		m       similarity.Measure
-		indexed bool
-	}{
-		{"jaccard", 0.4, similarity.Jaccard, true},
-		{"dice", 0.4, similarity.Dice, true},
-		{"cosine", 0.4, similarity.Cosine, true},
-		{"overlap", 0.4, similarity.Overlap, true},
-		{"nil=jaccard", 0.4, nil, true},
-		{"custom", 0.4, customLabelMeasure, false},
-		{"attribute-closure", 0.4, similarity.Attribute(6), false},
-		{"theta-zero", 0, similarity.Jaccard, false},
-	}
-	for _, tc := range cases {
-		lb := newLabeler(ts, sets, tc.theta, 0.5, tc.m)
-		if indexed := !lb.ix.Pairwise(); indexed != tc.indexed {
-			t.Errorf("%s: indexed = %v, want %v", tc.name, indexed, tc.indexed)
-		}
-	}
-}
-
 // TestLabelThetaZeroOracle: at θ = 0 every labeled point is a neighbor of
-// every candidate (sim ≥ 0 always), the regime the index cannot see. The
-// fallback must reproduce the reference exactly, including at θ = 0 ties
-// resolved toward the larger-score (smaller |L_i|+1 under positive f) set.
+// every candidate (sim ≥ 0 always), the regime no postings scan can see,
+// so the index answers it with every labeled point. The labeler must
+// reproduce the reference exactly, including at θ = 0 ties resolved
+// toward the larger-score (smaller |L_i|+1 under positive f) set.
 func TestLabelThetaZeroOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ts := randomTransactionsCore(r, 80, 6, 15)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 // tsWithItems builds a canonical transaction from raw item ids.
@@ -59,7 +60,7 @@ func TestLabelArgmaxProperty(t *testing.T) {
 			for si, li := range sets {
 				nn := 0
 				for _, q := range li {
-					if m.fn(ts[p], ts[q]) >= theta {
+					if m.fn.Sim(ts[p], ts[q]) >= theta {
 						nn++
 					}
 				}
@@ -81,7 +82,7 @@ func TestLabelArgmaxProperty(t *testing.T) {
 				for si, li := range sets {
 					nn := 0
 					for _, q := range li {
-						if m.fn(ts[p], ts[q]) >= theta {
+						if m.fn.Sim(ts[p], ts[q]) >= theta {
 							nn++
 						}
 					}
@@ -185,7 +186,7 @@ func TestLabelEmptyCandidates(t *testing.T) {
 	sets := [][]int{{0, 1}, {2}}
 	for _, workers := range []int{1, 4} {
 		for _, serialBelow := range []int{0, -1} {
-			got := newLabeler(ts, sets, 0.5, 0.5, nil).run(nil, workers, serialBelow)
+			got := newLabeler(ts, sets, 0.5, 0.5, similarity.Jaccard).run(nil, workers, serialBelow)
 			if len(got) != 0 {
 				t.Fatalf("workers=%d serialBelow=%d: %v assignments for zero candidates", workers, serialBelow, got)
 			}
@@ -204,9 +205,9 @@ func TestLabelIndexedOutOfRangeItems(t *testing.T) {
 	sets := [][]int{{0, 1, 2}, {3, 4, 5}}
 	candidates := []int{20, 25, 30}
 	theta, f := 0.3, 0.5
-	ref := labelCandidatesReference(ts, candidates, sets, theta, f, nil)
+	ref := labelCandidatesReference(ts, candidates, sets, theta, f, similarity.Jaccard)
 	for _, workers := range []int{1, 4} {
-		got := newLabeler(ts, sets, theta, f, nil).run(candidates, workers, -1)
+		got := newLabeler(ts, sets, theta, f, similarity.Jaccard).run(candidates, workers, -1)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: got %v, ref %v", workers, got, ref)
 		}

@@ -19,13 +19,13 @@ import (
 // neighbor in any L_i (an outlier with respect to the discovered
 // clusters). Ties break toward the smaller cluster index, keeping the
 // phase deterministic.
-func labelPoint(t dataset.Transaction, ts []dataset.Transaction, sets [][]int, theta, f float64, sim similarity.Measure) int {
+func labelPoint(t dataset.Transaction, ts []dataset.Transaction, sets [][]int, theta, f float64, m similarity.Measure) int {
 	best := -1
 	bestScore := 0.0
 	for i, li := range sets {
 		n := 0
 		for _, q := range li {
-			if sim(t, ts[q]) >= theta {
+			if m.Sim(t, ts[q]) >= theta {
 				n++
 			}
 		}
@@ -41,15 +41,11 @@ func labelPoint(t dataset.Transaction, ts []dataset.Transaction, sets [][]int, t
 }
 
 // labelCandidatesReference is the serial pairwise labeling loop: labelPoint
-// over every candidate. A nil sim selects Jaccard, as Config.withDefaults
-// does.
-func labelCandidatesReference(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64, sim similarity.Measure) []int {
-	if sim == nil {
-		sim = similarity.Jaccard
-	}
+// over every candidate.
+func labelCandidatesReference(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64, m similarity.Measure) []int {
 	out := make([]int, len(candidates))
 	for i, p := range candidates {
-		out[i] = labelPoint(ts[p], ts, sets, theta, f, sim)
+		out[i] = labelPoint(ts[p], ts, sets, theta, f, m)
 	}
 	return out
 }
@@ -58,9 +54,8 @@ func labelCandidatesReference(ts []dataset.Transaction, candidates []int, sets [
 // points and sets, query by query.
 func (m *Model) assignReference(ts []dataset.Transaction) []int {
 	out := make([]int, len(ts))
-	sim := similarity.ByName(m.measure)
 	for i, t := range ts {
-		out[i] = labelPoint(t, m.pts, m.sets, m.theta, m.fval, sim)
+		out[i] = labelPoint(t, m.pts, m.sets, m.theta, m.fval, m.measure)
 	}
 	return out
 }

@@ -25,8 +25,8 @@ import (
 // reference labelPoint over the frozen sets (label_reference_test.go).
 // The model reuses the very labeler the pipeline's phase 6 runs, whose
 // index is exact for every measure and θ (see similarity.Index), and the
-// model oracle test enforces the identity across all four built-in
-// measures and worker counts under the race detector.
+// model oracle test enforces the identity across all four measures and
+// worker counts under the race detector.
 
 // Model is an immutable snapshot of a clustering run, queryable for
 // assignments. All methods are safe for concurrent use: the frozen index
@@ -37,7 +37,7 @@ import (
 type Model struct {
 	theta   float64
 	fval    float64
-	measure string // canonical similarity name (similarity.Name)
+	measure similarity.Measure
 
 	// clusterSizes[i] is the full size of cluster i when the model was
 	// frozen — metadata for reporting; assignment uses only setSizes.
@@ -73,17 +73,10 @@ type Model struct {
 // subsets, so Freeze draws them fresh from res.Clusters with the same
 // labelSets pass the labeling phase uses (cfg.LabelFraction /
 // cfg.MaxLabelPoints, seeded by cfg.Seed — deterministic, but a new
-// draw, not a replay). cfg.Measure must be nil or one of the four
-// built-in measures; a custom similarity function cannot be serialized,
-// and Freeze rejects it.
+// draw, not a replay).
 func Freeze(ts []dataset.Transaction, res *Result, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	name := similarity.Name(cfg.Measure)
-	if name == "" {
-		return nil, fmt.Errorf("core: cannot freeze a model over a custom similarity measure: only the built-in measures (%s, %s, %s, %s) serialize",
-			similarity.NameJaccard, similarity.NameDice, similarity.NameCosine, similarity.NameOverlap)
 	}
 	if res == nil || len(res.Clusters) == 0 {
 		return nil, fmt.Errorf("core: cannot freeze a model from a run with no clusters")
@@ -115,16 +108,12 @@ func FreezeDataset(d *dataset.Dataset, res *Result, cfg Config) (*Model, error) 
 // FreezeSets builds a Model from explicit labeled subsets: sets[i] lists
 // the dataset-global indices of cluster i's labeled points, clusterSizes
 // the full cluster sizes (nil defaults to the set sizes), and theta / f /
-// m the labeling parameters (nil m selects Jaccard). Each labeled point
-// must be canonical with no negative item (dataset.Transaction.Check);
-// FreezeSets names the first that is not. The transactions are
-// deep-copied; the model shares no memory with the caller afterwards.
+// m the labeling parameters. Each labeled point must be canonical with no
+// negative item (dataset.Transaction.Check); FreezeSets names the first
+// that is not. The transactions are deep-copied; the model shares no
+// memory with the caller afterwards.
 func FreezeSets(ts []dataset.Transaction, sets [][]int, clusterSizes []int, theta, f float64, m similarity.Measure) (*Model, error) {
-	name := similarity.Name(m)
-	if name == "" {
-		return nil, fmt.Errorf("core: cannot freeze a model over a custom similarity measure")
-	}
-	if err := checkThetaF(theta, f); err != nil {
+	if err := checkModelParams(theta, f, m); err != nil {
 		return nil, err
 	}
 	if len(sets) == 0 {
@@ -156,17 +145,13 @@ func FreezeSets(ts []dataset.Transaction, sets [][]int, clusterSizes []int, thet
 			pts = append(pts, ts[q].Clone())
 		}
 	}
-	return newModel(pts, setSizes, append([]int(nil), clusterSizes...), theta, f, name)
+	return newModel(pts, setSizes, append([]int(nil), clusterSizes...), theta, f, m)
 }
 
 // newModel assembles a Model from already-frozen parts: pts grouped by
 // cluster, setSizes giving the per-cluster group lengths. Shared by
 // FreezeSets and LoadModel.
-func newModel(pts []dataset.Transaction, setSizes, clusterSizes []int, theta, f float64, measure string) (*Model, error) {
-	sim := similarity.ByName(measure)
-	if sim == nil {
-		return nil, fmt.Errorf("%w: %q", ErrModelMeasure, measure)
-	}
+func newModel(pts []dataset.Transaction, setSizes, clusterSizes []int, theta, f float64, measure similarity.Measure) (*Model, error) {
 	m := &Model{
 		theta:        theta,
 		fval:         f,
@@ -187,7 +172,7 @@ func newModel(pts []dataset.Transaction, setSizes, clusterSizes []int, theta, f 
 	if at != len(pts) {
 		return nil, fmt.Errorf("%w: %d labeled points for set sizes summing to %d", ErrModelCorrupt, len(pts), at)
 	}
-	m.lb = newLabeler(m.pts, m.sets, theta, f, sim)
+	m.lb = newLabeler(m.pts, m.sets, theta, f, measure)
 	m.scratch.New = func() any { return m.lb.newScratch() }
 	return m, nil
 }
@@ -202,8 +187,8 @@ func (m *Model) Theta() float64 { return m.theta }
 func (m *Model) F() float64 { return m.fval }
 
 // MeasureName returns the canonical name of the frozen similarity
-// measure (similarity.ByName turns it back into the function).
-func (m *Model) MeasureName() string { return m.measure }
+// measure (similarity.ParseMeasure turns it back into the measure).
+func (m *Model) MeasureName() string { return m.measure.String() }
 
 // LabeledPoints returns the total number of frozen labeled points Σ|L_i|.
 func (m *Model) LabeledPoints() int { return len(m.pts) }

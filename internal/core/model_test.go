@@ -77,7 +77,7 @@ func modelFixture(r *rand.Rand, m similarity.Measure) (*Model, []dataset.Transac
 // TestModelOracleAssign proves Model.Assign and Model.AssignBatch
 // bit-identical to the serial pairwise reference labelPoint over the
 // global transactions and sets the model was frozen from — all four
-// built-in measures, workers 1/2/4/8 (run under -race in CI).
+// measures, workers 1/2/4/8 (run under -race in CI).
 func TestModelOracleAssign(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -538,28 +538,30 @@ func TestModelLoadFailures(t *testing.T) {
 	}
 }
 
-// TestModelFreezeRejects pins the freeze-time error paths: custom
-// measures cannot serialize, and empty runs have nothing to freeze.
+// TestModelFreezeRejects pins the freeze-time error paths: a value past
+// the last measure names none, and empty runs have nothing to freeze.
 func TestModelFreezeRejects(t *testing.T) {
 	ts, _ := groupedData(2, 20, 3)
 	res, err := Cluster(ts, Config{Theta: 0.4, K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	custom := func(a, b dataset.Transaction) float64 { return 1 }
-	if _, err := Freeze(ts, res, Config{Theta: 0.4, K: 2, Measure: custom}); err == nil || !strings.Contains(err.Error(), "custom") {
-		t.Fatalf("custom measure: err = %v", err)
+	if _, err := Freeze(ts, res, Config{Theta: 0.4, K: 2, Measure: similarity.Overlap + 1}); err == nil || !strings.Contains(err.Error(), "unknown measure") {
+		t.Fatalf("Freeze, unknown measure: err = %v", err)
+	}
+	if _, err := FreezeSets(ts, [][]int{{0}}, nil, 0.4, 0.3, similarity.Overlap+1); err == nil || !strings.Contains(err.Error(), "unknown measure") {
+		t.Fatalf("FreezeSets, unknown measure: err = %v", err)
 	}
 	if _, err := Freeze(ts, &Result{}, Config{Theta: 0.4, K: 2}); err == nil || !strings.Contains(err.Error(), "no clusters") {
 		t.Fatalf("empty result: err = %v", err)
 	}
-	if _, err := FreezeSets(ts, [][]int{{0, 99}}, nil, 0.4, 0.3, nil); err == nil || !strings.Contains(err.Error(), "outside") {
+	if _, err := FreezeSets(ts, [][]int{{0, 99}}, nil, 0.4, 0.3, similarity.Jaccard); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("out-of-range set index: err = %v", err)
 	}
-	if _, err := FreezeSets(ts, [][]int{{0}}, nil, math.NaN(), 0.3, nil); err == nil || !strings.Contains(err.Error(), "theta") {
+	if _, err := FreezeSets(ts, [][]int{{0}}, nil, math.NaN(), 0.3, similarity.Jaccard); err == nil || !strings.Contains(err.Error(), "theta") {
 		t.Fatalf("NaN theta: err = %v", err)
 	}
-	if _, err := FreezeSets(ts, [][]int{{0}}, nil, 0.4, math.Inf(1), nil); err == nil || !strings.Contains(err.Error(), "finite") {
+	if _, err := FreezeSets(ts, [][]int{{0}}, nil, 0.4, math.Inf(1), similarity.Jaccard); err == nil || !strings.Contains(err.Error(), "finite") {
 		t.Fatalf("infinite f: err = %v", err)
 	}
 }
@@ -631,7 +633,7 @@ func TestModelAssignDataset(t *testing.T) {
 	}
 
 	// Models frozen from raw ids cannot translate names.
-	raw, err := FreezeSets(d.Trans, [][]int{{0, 1}, {3, 4}}, nil, 0.2, 0.3, nil)
+	raw, err := FreezeSets(d.Trans, [][]int{{0, 1}, {3, 4}}, nil, 0.2, 0.3, similarity.Jaccard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,15 +658,12 @@ func TestModelSparseItemIDs(t *testing.T) {
 		dataset.NewTransaction(5_000_000, 6_000_000, 7_000_000, 8_000_000),
 		dataset.NewTransaction(9, 10, 11),
 	}
-	m, err := FreezeSets(ts, [][]int{{0, 1}, {2, 3}}, nil, 0.4, MarketBasketF(0.4), nil)
+	m, err := FreezeSets(ts, [][]int{{0, 1}, {2, 3}}, nil, 0.4, MarketBasketF(0.4), similarity.Jaccard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.lb.ix.SparsePostings() {
 		t.Fatalf("dense postings array built over a %d-wide id space", huge)
-	}
-	if m.lb.ix.Pairwise() {
-		t.Fatal("sparse ids fell back to the pairwise path; the map index should serve them")
 	}
 	queries := ts[4:]
 	want := m.assignReference(queries)
@@ -692,11 +691,11 @@ func TestModelSparseItemIDs(t *testing.T) {
 // oracle tests measure), not quietly degrade to map lookups.
 func TestLabelerDensePostingsStayDense(t *testing.T) {
 	ts, _ := groupedData(3, 30, 7)
-	m, err := FreezeSets(ts, [][]int{{0, 1, 2}, {30, 31}, {60, 61, 62}}, nil, 0.3, 0.25, nil)
+	m, err := FreezeSets(ts, [][]int{{0, 1, 2}, {30, 31}, {60, 61, 62}}, nil, 0.3, 0.25, similarity.Jaccard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.lb.ix.Pairwise() || m.lb.ix.SparsePostings() {
+	if m.lb.ix.SparsePostings() {
 		t.Fatal("dense ids built no dense postings array")
 	}
 }

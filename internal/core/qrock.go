@@ -16,7 +16,7 @@ type QRockConfig struct {
 	// MinClusterSize discards components smaller than this as outliers;
 	// values below 1 keep everything.
 	MinClusterSize int
-	// Measure is the similarity; nil selects Jaccard.
+	// Measure is the similarity; the zero value is Jaccard.
 	Measure similarity.Measure
 	// Workers bounds parallelism in neighbor computation.
 	Workers int

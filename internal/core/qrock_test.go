@@ -86,14 +86,14 @@ func TestQRockMatchesRockAtKOne(t *testing.T) {
 
 // TestQRockMatchesRockAtKOneProperty is the differential form of the
 // equivalence QRock's doc states: over random transactions, thresholds and
-// built-in measures, ROCK with IncludeSelf, K=1 and no pruning or weeding
+// measures, ROCK with IncludeSelf, K=1 and no pruning or weeding
 // ends at exactly QRock's components.
 func TestQRockMatchesRockAtKOneProperty(t *testing.T) {
 	measures := []struct {
 		name string
 		m    similarity.Measure
 	}{
-		{"jaccard", nil},
+		{"jaccard", similarity.Jaccard},
 		{"dice", similarity.Dice},
 		{"cosine", similarity.Cosine},
 		{"overlap", similarity.Overlap},

@@ -3,12 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 // groupedData synthesizes ngroups well-separated transaction groups of the
@@ -233,6 +233,7 @@ func TestClusterValidation(t *testing.T) {
 		{Theta: 0.5, K: 2, MaxLabelPoints: -1},
 		{Theta: 0.5, K: 2, WeedAt: 0.5, WeedMaxSize: -1},
 		{Theta: 0.5, K: 2, Goodness: GoodnessLinksPerPair + 1},
+		{Theta: 0.5, K: 2, Measure: similarity.Overlap + 1},
 		// A negative worker count is an error, not GOMAXPROCS.
 		{Theta: 0.5, K: 2, Workers: -7},
 	}
@@ -260,7 +261,7 @@ func TestEntryPointsRejectMalformedTransactions(t *testing.T) {
 		}},
 		{"QRock", func(ts []dataset.Transaction) error { _, err := QRock(ts, QRockConfig{Theta: 0.3}); return err }},
 		{"FreezeSets", func(ts []dataset.Transaction) error {
-			_, err := FreezeSets(ts, [][]int{{0, 1}, {2, 3}}, nil, 0.3, 0.5, nil)
+			_, err := FreezeSets(ts, [][]int{{0, 1}, {2, 3}}, nil, 0.3, 0.5, similarity.Jaccard)
 			return err
 		}},
 	}
@@ -271,32 +272,6 @@ func TestEntryPointsRejectMalformedTransactions(t *testing.T) {
 				t.Errorf("%s on %v: err = %v, want one naming transaction 2", e.name, bad, err)
 			}
 		}
-	}
-}
-
-// TestCustomMeasureThroughPipeline: simple matching over a 6-item
-// universe is positive on disjoint transactions, so the neighbor phase
-// must evaluate it pairwise. Every point but {3,4} then lies within θ of
-// another, 16 directed edges in all.
-func TestCustomMeasureThroughPipeline(t *testing.T) {
-	simpleMatching := func(a, b dataset.Transaction) float64 {
-		return float64(6-len(a)-len(b)+2*a.IntersectSize(b)) / 6
-	}
-	ts := []dataset.Transaction{{0}, {1}, {2}, {0, 1}, {3, 4}, {5}}
-	want := []int{0, 0, 0, 0, 1, 0}
-	res, err := Cluster(ts, Config{Theta: 0.6, K: 1, Measure: simpleMatching})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.AvgNeighbors != 16.0/6 || !reflect.DeepEqual(res.Assign, want) {
-		t.Errorf("Cluster: m_a %.2f, Assign %v; want m_a 2.67, Assign %v", res.Stats.AvgNeighbors, res.Assign, want)
-	}
-	q, err := QRock(ts, QRockConfig{Theta: 0.6, Measure: simpleMatching})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Stats.AvgNeighbors != 16.0/6 || !reflect.DeepEqual(q.Assign, want) {
-		t.Errorf("QRock: m_a %.2f, Assign %v; want m_a 2.67, Assign %v", q.Stats.AvgNeighbors, q.Assign, want)
 	}
 }
 

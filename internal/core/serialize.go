@@ -21,7 +21,7 @@
 //	payload:
 //	  theta    float64  frozen neighbor threshold θ
 //	  f        float64  frozen criterion exponent f(θ)
-//	  measure  string   canonical similarity name (similarity.Name)
+//	  measure  string   canonical similarity name (Measure.String)
 //	  k        uint32   number of clusters
 //	  k × {            per cluster, in cluster order:
 //	    clusterSize  uint64   full cluster size at freeze time
@@ -67,6 +67,7 @@ import (
 	"math"
 
 	"github.com/rockclust/rock/internal/dataset"
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 // resultEnvelope versions the serialized form so future layout changes
@@ -165,7 +166,7 @@ func (m *Model) Save(w io.Writer) error {
 
 	putU64(&buf, math.Float64bits(m.theta))
 	putU64(&buf, math.Float64bits(m.fval))
-	putStr(&buf, m.measure)
+	putStr(&buf, m.measure.String())
 	putU32(&buf, uint32(len(m.sets)))
 	for i := range m.sets {
 		putU64(&buf, uint64(m.clusterSizes[i]))
@@ -223,7 +224,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 
 	theta := math.Float64frombits(cur.u64())
 	f := math.Float64frombits(cur.u64())
-	measure := cur.str()
+	name := cur.str()
 	k := int(cur.u32())
 	if cur.err != nil || k < 1 || k > cur.remaining()/clusterEntryBytes {
 		return nil, corruptModel(cur.err, "cluster table")
@@ -308,6 +309,10 @@ func LoadModel(r io.Reader) (*Model, error) {
 		}
 	}
 
+	measure, ok := similarity.ParseMeasure(name)
+	if !ok {
+		return nil, fmt.Errorf("core: loading model: %w: %q", ErrModelMeasure, name)
+	}
 	m, err := newModel(pts, setSizes, clusterSizes, theta, f, measure)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)

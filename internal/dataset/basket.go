@@ -65,14 +65,14 @@ func ReadBasket(r io.Reader, opts BasketOptions) (*Dataset, error) {
 				label = string(toks[0])
 				labels[label] = label
 			}
-			d.Labels = append(d.Labels, label)
+			d.Labels = append(grow(d.Labels), label)
 			toks = toks[1:]
 		}
 		if opts.FirstTokenIsName {
 			if len(toks) == 0 {
 				return nil, fmt.Errorf("dataset: basket line %d: missing name token", line)
 			}
-			d.Names = append(d.Names, string(toks[0]))
+			d.Names = append(grow(d.Names), string(toks[0]))
 			toks = toks[1:]
 		}
 		// The first line allocates a block even when it holds no
@@ -87,12 +87,23 @@ func ReadBasket(r io.Reader, opts BasketOptions) (*Dataset, error) {
 		slices.Sort(block[start:])
 		t := slices.Compact(block[start:])
 		block = block[:start+len(t)]
-		d.Trans = append(d.Trans, t[:len(t):len(t)])
+		d.Trans = append(grow(d.Trans), t[:len(t):len(t)])
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: reading basket file: %w", err)
 	}
 	return d, nil
+}
+
+// grow returns s with room for one more element, doubling it, from at
+// least basketBlockMin, when it is full. append grows a large slice about
+// 1.25× at a time, copying it each time, so a large parse would allocate
+// its per-line slices several times over.
+func grow[S ~[]E, E any](s S) S {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), basketBlockMin))
 }
 
 // asciiSpace marks the six ASCII bytes unicode.IsSpace reports.

@@ -44,10 +44,10 @@ func runE8(opts Options) (*Report, error) {
 	simTable := FormatTable(
 		[]string{"pair", "groups", "jaccard", "links"},
 		[][]string{
-			{"{1,2,3} vs {1,2,4}", "A-A", fmt.Sprintf("%.2f", similarity.Jaccard(ts[0], ts[1])), fmt.Sprintf("%d", lt.Get(0, 1))},
-			{"{1,2,3} vs {3,4,5}", "A-A", fmt.Sprintf("%.2f", similarity.Jaccard(ts[0], ts[9])), fmt.Sprintf("%d", lt.Get(0, 9))},
-			{"{1,2,3} vs {1,2,6}", "A-B", fmt.Sprintf("%.2f", similarity.Jaccard(ts[0], ts[10])), fmt.Sprintf("%d", lt.Get(0, 10))},
-			{"{1,6,7} vs {2,6,7}", "B-B", fmt.Sprintf("%.2f", similarity.Jaccard(ts[12], ts[13])), fmt.Sprintf("%d", lt.Get(12, 13))},
+			{"{1,2,3} vs {1,2,4}", "A-A", fmt.Sprintf("%.2f", similarity.Jaccard.Sim(ts[0], ts[1])), fmt.Sprintf("%d", lt.Get(0, 1))},
+			{"{1,2,3} vs {3,4,5}", "A-A", fmt.Sprintf("%.2f", similarity.Jaccard.Sim(ts[0], ts[9])), fmt.Sprintf("%d", lt.Get(0, 9))},
+			{"{1,2,3} vs {1,2,6}", "A-B", fmt.Sprintf("%.2f", similarity.Jaccard.Sim(ts[0], ts[10])), fmt.Sprintf("%d", lt.Get(0, 10))},
+			{"{1,6,7} vs {2,6,7}", "B-B", fmt.Sprintf("%.2f", similarity.Jaccard.Sim(ts[12], ts[13])), fmt.Sprintf("%d", lt.Get(12, 13))},
 		},
 	)
 

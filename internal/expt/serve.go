@@ -16,6 +16,7 @@ import (
 	"github.com/rockclust/rock/internal/core"
 	"github.com/rockclust/rock/internal/dataset"
 	"github.com/rockclust/rock/internal/serve"
+	"github.com/rockclust/rock/internal/similarity"
 	"github.com/rockclust/rock/internal/synth"
 )
 
@@ -124,7 +125,7 @@ func BenchServe(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	model, err := core.FreezeSets(ts, sets, nil, theta, core.MarketBasketF(theta), nil)
+	model, err := core.FreezeSets(ts, sets, nil, theta, core.MarketBasketF(theta), similarity.Jaccard)
 	if err != nil {
 		return fmt.Errorf("expt: freezing the serve fixture model: %w", err)
 	}

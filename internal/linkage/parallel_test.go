@@ -108,7 +108,7 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 		name string
 		m    similarity.Measure
 	}{
-		{"jaccard", nil}, // nil selects the fast-path Jaccard
+		{"jaccard", similarity.Jaccard},
 		{"dice", similarity.Dice},
 		{"cosine", similarity.Cosine},
 		{"overlap", similarity.Overlap},
@@ -124,7 +124,7 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 		includeSelf := r.Intn(2) == 0
 		opts := similarity.Options{Measure: me.m, IncludeSelf: includeSelf}
 		var nb *similarity.Neighbors
-		if me.m == nil {
+		if me.m == similarity.Jaccard {
 			nb = similarity.ComputeIndexed(ts, theta, opts)
 		} else {
 			nb = similarity.Compute(ts, theta, opts)
@@ -235,7 +235,7 @@ func TestBuildWorkCounts(t *testing.T) {
 }
 
 // The transpose inside Build makes it exact even for
-// asymmetric neighbor lists (which no built-in measure produces, but the
+// asymmetric neighbor lists (which no measure produces, but the
 // pair-counting definition permits): it must match FromNeighbors, whose
 // contract is pair counting, not the symmetric-only Dense oracle.
 func TestParallelCSRAsymmetricLists(t *testing.T) {

@@ -10,13 +10,16 @@ import (
 
 // Request batching / coalescing.
 //
-// The frozen model's AssignBatch amortizes its sharded-labeler startup
-// (goroutine handoff, scratch acquisition) over a whole batch, so many
-// small concurrent requests serve far better as one large batch than as
-// per-request calls. The batcher accumulates the queries of concurrent
-// /assign requests into one open batch and flushes it when either the
-// batch reaches MaxBatch queries or FlushEvery elapses since the batch
-// opened — the classic size-or-deadline coalescing loop. Requests block
+// The batcher accumulates the queries of concurrent /assign requests
+// into one open batch and flushes it, as one AssignBatch call, when
+// either the batch reaches MaxBatch queries or FlushEvery elapses since
+// the batch opened — the classic size-or-deadline coalescing loop. At
+// the defaults a flush of small requests never reaches the sharded
+// labeler: MaxBatch (256) is below AssignBatch's serial cutoff (1,024
+// queries), so the flush runs the serial loop on one goroutine. Only a
+// single request that carries a flush past 1,024 queries shards. What
+// coalescing saves is per-call overhead; what it costs is up to
+// FlushEvery of waiting (ROADMAP item 12). Requests block
 // until their flush completes and receive exactly their slice of the
 // results, so coalescing is invisible to callers beyond latency.
 //

@@ -6,9 +6,11 @@
 // The server wraps Model.AssignBatch with two service-grade mechanisms:
 //
 //   - Request coalescing (batcher.go): concurrent POST /assign requests
-//     accumulate into a shared batch flushed by size or deadline, so the
-//     sharded labeler's startup cost amortizes across requests instead of
-//     being paid per call.
+//     accumulate into a shared batch, flushed by size or deadline, that
+//     one AssignBatch call answers. At the defaults a flush of small
+//     requests stays below AssignBatch's 1,024-query serial cutoff, so it
+//     runs the serial loop on one goroutine, not the sharded labeler;
+//     coalescing saves per-call overhead only (ROADMAP item 12).
 //   - Atomic hot-swap reload: the current model lives behind an
 //     atomic.Pointer; POST /-/reload (or SIGHUP in cmd/rockserve) loads
 //     and fully validates the new file BEFORE swapping, then waits for
@@ -260,17 +262,7 @@ func (s *Server) Submit(qs []dataset.Transaction) (assignments []int, gen uint64
 	lm := s.acquire()
 	defer lm.release()
 	assignments = s.batch.submit(lm, qs)
-
-	s.stats.requests.Add(1)
-	s.stats.queries.Add(int64(len(qs)))
-	for _, ci := range assignments {
-		if ci >= 0 {
-			s.stats.assigned.Add(1)
-		} else {
-			s.stats.outliers.Add(1)
-		}
-	}
-	s.stats.latency.observe(s.cfg.Clock.Now().Sub(start))
+	s.stats.observeRequest(assignments, s.cfg.Clock.Now().Sub(start))
 	return assignments, lm.gen
 }
 
@@ -286,17 +278,7 @@ func (s *Server) SubmitDirect(qs []dataset.Transaction) (assignments []int, gen 
 	lm := s.acquire()
 	defer lm.release()
 	assignments = lm.model.AssignBatch(qs, s.cfg.Workers)
-
-	s.stats.requests.Add(1)
-	s.stats.queries.Add(int64(len(qs)))
-	for _, ci := range assignments {
-		if ci >= 0 {
-			s.stats.assigned.Add(1)
-		} else {
-			s.stats.outliers.Add(1)
-		}
-	}
-	s.stats.latency.observe(s.cfg.Clock.Now().Sub(start))
+	s.stats.observeRequest(assignments, s.cfg.Clock.Now().Sub(start))
 	return assignments, lm.gen
 }
 
@@ -436,18 +418,8 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	assignments := s.batch.submit(lm, qs)
-
-	s.stats.requests.Add(1)
-	s.stats.queries.Add(int64(len(qs)))
-	for _, ci := range assignments {
-		if ci >= 0 {
-			s.stats.assigned.Add(1)
-		} else {
-			s.stats.outliers.Add(1)
-		}
-	}
 	writeJSON(w, http.StatusOK, AssignResponse{Assignments: assignments, Generation: lm.gen})
-	s.stats.latency.observe(time.Since(start))
+	s.stats.observeRequest(assignments, time.Since(start))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

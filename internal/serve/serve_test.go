@@ -16,6 +16,7 @@ import (
 
 	"github.com/rockclust/rock/internal/core"
 	"github.com/rockclust/rock/internal/dataset"
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 // rawModel freezes a tiny two-cluster model over raw item ids. With
@@ -34,7 +35,7 @@ func rawModel(t testing.TB, flip bool) *core.Model {
 	if flip {
 		sets = [][]int{{2, 3}, {0, 1}}
 	}
-	m, err := core.FreezeSets(ts, sets, nil, 0.4, core.MarketBasketF(0.4), nil)
+	m, err := core.FreezeSets(ts, sets, nil, 0.4, core.MarketBasketF(0.4), similarity.Jaccard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,6 +95,22 @@ type serverStats struct {
 	latency latencyHist
 }
 
+// observeRequest records one answered request: its queries, split into
+// the assigned ones and the outliers, and its latency.
+func (st *serverStats) observeRequest(assignments []int, elapsed time.Duration) {
+	assigned := int64(0)
+	for _, ci := range assignments {
+		if ci >= 0 {
+			assigned++
+		}
+	}
+	st.requests.Add(1)
+	st.queries.Add(int64(len(assignments)))
+	st.assigned.Add(assigned)
+	st.outliers.Add(int64(len(assignments)) - assigned)
+	st.latency.observe(elapsed)
+}
+
 // observeBatch records one flush of the coalescing batcher.
 func (st *serverStats) observeBatch(queries, requests int) {
 	st.batches.Add(1)

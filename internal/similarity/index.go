@@ -8,23 +8,22 @@ import (
 )
 
 // Index answers θ-queries over a fixed slice of transactions: Query(t)
-// lists every j with sim(t, ts[j]) ≥ θ, exactly, for every measure and
-// every θ. It is the one place that decides how to find θ-neighbors:
+// lists every j with m.Sim(t, ts[j]) ≥ θ, exactly, for every measure m
+// and every θ. It is the one place that decides how to find θ-neighbors:
 // the neighbor phase (ComputeIndexed), the labeling phase and
 // Model.Assign all query it.
 //
-// Exactness. Every built-in measure is a pure function of
-// (|t ∩ q|, |t|, |q|), and its counted form is the measure's own
-// implementation (counted.go), so an index that yields the intersection
-// size decides sim ≥ θ bit-identically to the pairwise evaluation. A
-// pair that shares no item scores 0 under all four built-ins, so
-// skipping it is exact for θ > 0. A custom measure may be positive on
-// disjoint transactions, and at θ ≤ 0 every pair passes, so those
-// queries evaluate the measure against every indexed transaction
-// instead.
+// Exactness. Every measure is a pure function of (|t ∩ q|, |t|, |q|),
+// and Measure.Sim is its counted form (counted.go) applied to the
+// intersection size, so an index that yields the intersection size
+// decides sim ≥ θ bit-identically to the pairwise evaluation. A pair
+// that shares no item scores 0 under all four measures, so skipping it
+// is exact for θ > 0. Every measure's values lie in [0, 1], so at θ ≤ 0
+// every pair passes: the index then builds no postings and answers each
+// query with every indexed id, reading nothing.
 //
-// A built-in-measure query at θ > 0 takes one of two paths, chosen per
-// query from posting lengths the index holds:
+// A query at θ > 0 takes one of two paths, chosen per query from
+// posting lengths the index holds:
 //
 //   - the full count reads every posting of every query item into an
 //     intersection counter per indexed transaction;
@@ -41,7 +40,7 @@ import (
 // cm(o, l, o) ≥ θ, and a length-l query probes its first l − α_q(l) + 1
 // items. Where no o passes, α is l + 1 and the prefix is empty.
 //
-// Why the probe finds every answer. Each built-in counted form is
+// Why the probe finds every answer. Each counted form is
 // non-decreasing in the overlap and non-increasing in each length, the
 // other arguments fixed, in float64 too: its operands are small exact
 // integers, and IEEE division and square root are monotone. A pair
@@ -71,17 +70,14 @@ import (
 type Index struct {
 	ts    []dataset.Transaction
 	theta float64
-	sim   Measure
-	// cm is the measure's counted form when queries use the postings,
-	// nil when they run pairwise.
-	cm CountedMeasure
+	cm    CountedMeasure // the measure's counted form
 
 	// rank[it] is item it's rank, -1 when no indexed transaction holds
 	// it. The array is sized by the largest id, so when ids are sparse
 	// relative to the data (or negative) rankMap holds the held items'
 	// ranks instead, keeping the index linear in the data whatever ids a
-	// caller or a crafted model file supplies. On the postings path
-	// exactly one of the two is non-nil.
+	// caller or a crafted model file supplies. At θ > 0 exactly one of
+	// the two is non-nil.
 	rank    []int32
 	rankMap map[dataset.Item]int32
 
@@ -121,18 +117,12 @@ func queryAlpha(cm CountedMeasure, theta float64, l int) int {
 	return l + 1
 }
 
-// NewIndex builds the index over ts for threshold theta and measure m
-// (nil selects Jaccard). Queries read ts, which is not copied and must
-// not change while the index is in use.
+// NewIndex builds the index over ts for threshold theta and measure m.
+// Queries read ts, which is not copied and must not change while the
+// index is in use.
 func NewIndex(ts []dataset.Transaction, theta float64, m Measure) *Index {
-	if m == nil {
-		m = Jaccard
-	}
-	ix := &Index{ts: ts, theta: theta, sim: m}
+	ix := &Index{ts: ts, theta: theta, cm: m.Counted()}
 	if theta <= 0 {
-		return ix
-	}
-	if ix.cm = Counted(m); ix.cm == nil {
 		return ix
 	}
 	nitems, occurrences, negative := 0, 0, false
@@ -262,11 +252,6 @@ func (ix *Index) rankOf(it dataset.Item) int32 {
 	return -1
 }
 
-// Pairwise reports whether queries evaluate the measure against every
-// indexed transaction (a custom measure, or θ ≤ 0) rather than reading
-// item postings.
-func (ix *Index) Pairwise() bool { return ix.cm == nil }
-
 // SparsePostings reports whether item ranks are keyed by a map because
 // the indexed item ids are sparse or negative.
 func (ix *Index) SparsePostings() bool { return ix.rankMap != nil }
@@ -291,9 +276,6 @@ type Scratch struct {
 // goroutine at a time; any number of goroutines may query ix at once,
 // each with its own.
 func (ix *Index) NewScratch() *Scratch {
-	if ix.cm == nil {
-		return &Scratch{}
-	}
 	return &Scratch{
 		counts:  make([]int32, len(ix.ts)),
 		touched: make([]int32, 0, 256),
@@ -321,19 +303,11 @@ func (ix *Index) threshold(sc *Scratch, lq, lx int) int32 {
 
 // Query appends to dst the id of every indexed transaction q with
 // sim(t, q) ≥ θ and returns the extended slice. t must be canonical,
-// strictly ascending; its ids may be negative. The pairwise scan
-// appends ids in ascending order, the postings paths in the order they
-// first meet them. A query item no indexed transaction holds, unknown
-// or negative, matches nothing but counts in |t|.
+// strictly ascending; its ids may be negative. At θ ≤ 0 the ids come in
+// ascending order, and at θ > 0 in the order the postings paths first
+// meet them. A query item no indexed transaction holds, unknown or
+// negative, matches nothing but counts in |t|.
 func (ix *Index) Query(t dataset.Transaction, sc *Scratch, dst []int32) []int32 {
-	if ix.cm == nil {
-		for j, q := range ix.ts {
-			if ix.sim(t, q) >= ix.theta {
-				dst = append(dst, int32(j))
-			}
-		}
-		return dst
-	}
 	return ix.query(t, sc, dst, int32(len(ix.ts)))
 }
 
@@ -358,9 +332,14 @@ func (w *queryWork) add(o queryWork) {
 	w.candidates += o.candidates
 }
 
-// query is Query on the postings paths, restricted to the indexed ids
-// below below.
+// query is Query restricted to the indexed ids below below.
 func (ix *Index) query(t dataset.Transaction, sc *Scratch, dst []int32, below int32) []int32 {
+	if ix.theta <= 0 { // every pair passes
+		for j := range below {
+			dst = append(dst, j)
+		}
+		return dst
+	}
 	ranks := sc.ranks[:0]
 	full, pref := 0, 0
 	for _, it := range t {

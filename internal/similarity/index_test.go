@@ -12,16 +12,6 @@ import (
 	"github.com/rockclust/rock/internal/synth"
 )
 
-// simpleMatching is the fraction of a u-item universe on which a and b
-// agree, present in both or absent from both. It is positive on disjoint
-// transactions, so no postings scan can be exact for it.
-func simpleMatching(u int) Measure {
-	return func(a, b dataset.Transaction) float64 {
-		inter := a.IntersectSize(b)
-		return float64(u-len(a)-len(b)+2*inter) / float64(u)
-	}
-}
-
 // indexThetas is the θ grid of the index property test: 0, 1, and every
 // exact boundary value the four counted forms produce for sizes up to
 // maxLen, such as Jaccard's o/(la+lb−o), where a pair scores θ exactly.
@@ -94,19 +84,6 @@ func TestPrefixBoundsSound(t *testing.T) {
 // negative items. Both postings paths run.
 func TestIndexQueryMatchesPairwise(t *testing.T) {
 	const universe, maxLen = 10, 4
-	measures := []struct {
-		name     string
-		m        Measure
-		pairwise bool
-	}{
-		{"jaccard", Jaccard, false},
-		{"dice", Dice, false},
-		{"cosine", Cosine, false},
-		{"overlap", Overlap, false},
-		{"nil", nil, false},
-		{"attribute", Attribute(6), true},
-		{"disjoint-positive", simpleMatching(universe), true},
-	}
 	regimes := []struct {
 		name   string
 		id     func(k int) dataset.Item // universe position → item id
@@ -134,18 +111,11 @@ func TestIndexQueryMatchesPairwise(t *testing.T) {
 			dataset.NewTransaction(-7, -1, 1<<30),                       // nothing indexed
 			nil,
 		}, ts...)
-		for _, ms := range measures {
-			sim := ms.m
-			if sim == nil {
-				sim = Jaccard
-			}
+		for _, m := range []Measure{Jaccard, Dice, Cosine, Overlap} {
 			for _, theta := range thetas {
-				label := fmt.Sprintf("%s/%s/θ=%v", rg.name, ms.name, theta)
-				ix := NewIndex(ts, theta, ms.m)
-				if want := ms.pairwise || theta <= 0; ix.Pairwise() != want {
-					t.Fatalf("%s: Pairwise() = %v, want %v", label, ix.Pairwise(), want)
-				}
-				if want := rg.sparse && !ix.Pairwise(); ix.SparsePostings() != want {
+				label := fmt.Sprintf("%s/%s/θ=%v", rg.name, m, theta)
+				ix := NewIndex(ts, theta, m)
+				if want := rg.sparse && theta > 0; ix.SparsePostings() != want {
 					t.Fatalf("%s: SparsePostings() = %v, want %v", label, ix.SparsePostings(), want)
 				}
 				sc := ix.NewScratch()
@@ -155,7 +125,7 @@ func TestIndexQueryMatchesPairwise(t *testing.T) {
 					slices.Sort(got)
 					var want []int32
 					for j := range ts {
-						if sim(q, ts[j]) >= theta {
+						if m.Sim(q, ts[j]) >= theta {
 							want = append(want, int32(j))
 						}
 					}
@@ -231,7 +201,7 @@ func TestIndexWorkCounts(t *testing.T) {
 		_, got["hub baskets n=2000 θ=0.3"] = computeIndexed(hubBaskets(), 0.3, Options{Workers: w})
 
 		pts, queries := streamModel()
-		ix := NewIndex(pts, 0.35, nil)
+		ix := NewIndex(pts, 0.35, Jaccard)
 		var total queryWork
 		var mu sync.Mutex
 		chunkwork.Run(len(queries), w, 16, func(next func() (int, int, bool)) {

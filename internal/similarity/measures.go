@@ -12,45 +12,71 @@ import (
 	"github.com/rockclust/rock/internal/dataset"
 )
 
-// Measure computes a similarity in [0,1] between two transactions.
-type Measure func(a, b dataset.Transaction) float64
+// Measure is one of the four similarity measures ROCK finds θ-neighbors
+// with. Each is a function of (|a ∩ b|, |a|, |b|) alone, its counted
+// form (counted.go), which is what lets the Index answer from item
+// postings. The set is closed: the zero value is Jaccard, the paper's
+// measure, and no value past Overlap names a measure.
+type Measure uint8
 
-// The four built-ins delegate to their CountedMeasure forms (counted.go),
-// so index-driven paths that recover the intersection size from postings
-// compute bit-identical similarities to the pairwise evaluations here.
+const (
+	// Jaccard is |a ∩ b| / |a ∪ b|, the paper's similarity for
+	// market-basket transactions. Two empty transactions score 0: an
+	// empty record supports no evidence of association.
+	Jaccard Measure = iota
+	// Dice is 2|a ∩ b| / (|a| + |b|).
+	Dice
+	// Cosine is |a ∩ b| / √(|a|·|b|), the cosine of the angle between the
+	// transactions' binary vectors.
+	Cosine
+	// Overlap is |a ∩ b| / min(|a|, |b|).
+	Overlap
+)
 
-// Jaccard returns |a ∩ b| / |a ∪ b|, the paper's similarity for
-// market-basket transactions. Two empty transactions are defined to have
-// similarity 0: an empty record supports no evidence of association.
-func Jaccard(a, b dataset.Transaction) float64 {
-	return countedJaccard(a.IntersectSize(b), len(a), len(b))
+// measures holds each Measure's canonical name, the stable identifier a
+// frozen model file records, and its counted form.
+var measures = [...]struct {
+	name    string
+	counted CountedMeasure
+}{
+	Jaccard: {"jaccard", countedJaccard},
+	Dice:    {"dice", countedDice},
+	Cosine:  {"cosine", countedCosine},
+	Overlap: {"overlap", countedOverlap},
 }
 
-// Dice returns 2|a ∩ b| / (|a| + |b|).
-func Dice(a, b dataset.Transaction) float64 {
-	return countedDice(a.IntersectSize(b), len(a), len(b))
+// Sim returns the similarity of a and b under m: the counted form on
+// their intersection size and lengths, so a pairwise evaluation and an
+// index that counts the intersection from postings compute the same
+// float bit for bit. Like Counted, it panics when m is past Overlap.
+func (m Measure) Sim(a, b dataset.Transaction) float64 {
+	return m.Counted()(a.IntersectSize(b), len(a), len(b))
 }
 
-// Cosine returns |a ∩ b| / √(|a|·|b|), the cosine of the angle between the
-// transactions' binary vectors.
-func Cosine(a, b dataset.Transaction) float64 {
-	return countedCosine(a.IntersectSize(b), len(a), len(b))
-}
+// Counted returns m's counted form. It panics when m is past Overlap.
+// Every exported entry point that takes a Measure rejects such a value
+// first (core's Config.Validate and FreezeSets, and LoadModel through
+// ParseMeasure), so the panic marks a bug in an internal caller.
+func (m Measure) Counted() CountedMeasure { return measures[m].counted }
 
-// Overlap returns |a ∩ b| / min(|a|, |b|).
-func Overlap(a, b dataset.Transaction) float64 {
-	return countedOverlap(a.IntersectSize(b), len(a), len(b))
-}
-
-// Attribute returns the fraction of a fixed number of categorical
-// attributes on which two encoded records agree: |a ∩ b| / nattrs. It is
-// the complement of the Hamming distance for records without missing
-// values and is provided for datasets where every record has full arity.
-func Attribute(nattrs int) Measure {
-	return func(a, b dataset.Transaction) float64 {
-		if nattrs <= 0 {
-			return 0
-		}
-		return float64(a.IntersectSize(b)) / float64(nattrs)
+// String returns m's canonical name, such as "jaccard", or "" when m is
+// past Overlap.
+func (m Measure) String() string {
+	if m > Overlap {
+		return ""
 	}
+	return measures[m].name
+}
+
+// ParseMeasure returns the measure whose canonical name is name, and
+// false when no measure has it. ParseMeasure(m.String()) returns m for
+// every measure, which is what makes the round trip through a model file
+// exact.
+func ParseMeasure(name string) (Measure, bool) {
+	for m, e := range measures {
+		if e.name == name {
+			return Measure(m), true
+		}
+	}
+	return Jaccard, false
 }

@@ -25,7 +25,7 @@ func TestJaccardValues(t *testing.T) {
 		{tr(), tr(1), 0},
 	}
 	for _, tc := range tests {
-		if got := Jaccard(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
+		if got := Jaccard.Sim(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("Jaccard(%v,%v) = %g, want %g", tc.a, tc.b, got, tc.want)
 		}
 	}
@@ -38,33 +38,27 @@ func TestPaperNeighborExample(t *testing.T) {
 	a := tr(1, 2, 3)
 	b := tr(1, 2, 4)
 	c := tr(3, 4, 5)
-	if got := Jaccard(a, b); got != 0.5 {
+	if got := Jaccard.Sim(a, b); got != 0.5 {
 		t.Errorf("sim({1,2,3},{1,2,4}) = %g, want 0.5", got)
 	}
-	if got := Jaccard(a, c); got != 0.2 {
+	if got := Jaccard.Sim(a, c); got != 0.2 {
 		t.Errorf("sim({1,2,3},{3,4,5}) = %g, want 0.2", got)
 	}
 }
 
 func TestOtherMeasures(t *testing.T) {
 	a, b := tr(1, 2, 3), tr(2, 3, 4, 5)
-	if got := Dice(a, b); math.Abs(got-4.0/7.0) > 1e-12 {
+	if got := Dice.Sim(a, b); math.Abs(got-4.0/7.0) > 1e-12 {
 		t.Errorf("Dice = %g", got)
 	}
-	if got := Cosine(a, b); math.Abs(got-2/math.Sqrt(12)) > 1e-12 {
+	if got := Cosine.Sim(a, b); math.Abs(got-2/math.Sqrt(12)) > 1e-12 {
 		t.Errorf("Cosine = %g", got)
 	}
-	if got := Overlap(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
+	if got := Overlap.Sim(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Errorf("Overlap = %g", got)
 	}
-	if got := Attribute(4)(a, b); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Attribute(4) = %g", got)
-	}
-	if got := Attribute(0)(a, b); got != 0 {
-		t.Errorf("Attribute(0) = %g, want 0", got)
-	}
 	for _, m := range []Measure{Dice, Cosine, Overlap} {
-		if got := m(tr(), tr()); got != 0 {
+		if got := m.Sim(tr(), tr()); got != 0 {
 			t.Errorf("measure on empty pair = %g, want 0", got)
 		}
 	}
@@ -80,8 +74,7 @@ func randTrans(r *rand.Rand, universe, maxLen int) dataset.Transaction {
 }
 
 func TestMeasureProperties(t *testing.T) {
-	measures := map[string]Measure{"jaccard": Jaccard, "dice": Dice, "cosine": Cosine, "overlap": Overlap}
-	for name, m := range measures {
+	for _, m := range []Measure{Jaccard, Dice, Cosine, Overlap} {
 		cfg := &quick.Config{
 			MaxCount: 250,
 			Values: func(vals []reflect.Value, r *rand.Rand) {
@@ -90,14 +83,14 @@ func TestMeasureProperties(t *testing.T) {
 			},
 		}
 		prop := func(a, b dataset.Transaction) bool {
-			s := m(a, b)
+			s := m.Sim(a, b)
 			if s < 0 || s > 1+1e-12 {
 				return false // range
 			}
-			if math.Abs(s-m(b, a)) > 1e-12 {
+			if math.Abs(s-m.Sim(b, a)) > 1e-12 {
 				return false // symmetry
 			}
-			if len(a) > 0 && m(a, a) != 1 {
+			if len(a) > 0 && m.Sim(a, a) != 1 {
 				return false // self-similarity
 			}
 			if a.IntersectSize(b) == 0 && s != 0 {
@@ -106,7 +99,7 @@ func TestMeasureProperties(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(prop, cfg); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", m, err)
 		}
 	}
 }
@@ -123,9 +116,9 @@ func TestJaccardTriangle(t *testing.T) {
 		},
 	}
 	prop := func(a, b, c dataset.Transaction) bool {
-		dab := 1 - Jaccard(a, b)
-		dbc := 1 - Jaccard(b, c)
-		dac := 1 - Jaccard(a, c)
+		dab := 1 - Jaccard.Sim(a, b)
+		dbc := 1 - Jaccard.Sim(b, c)
+		dac := 1 - Jaccard.Sim(a, c)
 		return dac <= dab+dbc+1e-9
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -133,48 +126,62 @@ func TestJaccardTriangle(t *testing.T) {
 	}
 }
 
-// Every built-in measure's counted form must be the measure, bit for bit,
-// on (|a∩b|, |a|, |b|) — the premise that lets inverted-index paths
-// (neighbor phase, labeling phase) decide the θ-test without touching the
-// transactions. Custom functions and closures must not be claimed.
-func TestCountedFormsMatchMeasures(t *testing.T) {
-	builtins := []struct {
-		name string
-		m    Measure
-	}{
-		{"jaccard", Jaccard},
-		{"dice", Dice},
-		{"cosine", Cosine},
-		{"overlap", Overlap},
-	}
-	r := rand.New(rand.NewSource(2))
-	for _, tc := range builtins {
-		cm := Counted(tc.m)
-		if cm == nil {
-			t.Fatalf("Counted(%s) = nil for a built-in", tc.name)
+// setDefinitions are the four measures written over the sets themselves,
+// with the package's empty-pair conventions: a zero denominator scores 0.
+var setDefinitions = [...]func(a, b dataset.Transaction) float64{
+	Jaccard: func(a, b dataset.Transaction) float64 {
+		if a.UnionSize(b) == 0 {
+			return 0
 		}
+		return float64(a.IntersectSize(b)) / float64(a.UnionSize(b))
+	},
+	Dice: func(a, b dataset.Transaction) float64 {
+		if len(a)+len(b) == 0 {
+			return 0
+		}
+		return 2 * float64(a.IntersectSize(b)) / float64(len(a)+len(b))
+	},
+	Cosine: func(a, b dataset.Transaction) float64 {
+		if len(a) == 0 || len(b) == 0 {
+			return 0
+		}
+		return float64(a.IntersectSize(b)) / math.Sqrt(float64(len(a))*float64(len(b)))
+	},
+	Overlap: func(a, b dataset.Transaction) float64 {
+		if min(len(a), len(b)) == 0 {
+			return 0
+		}
+		return float64(a.IntersectSize(b)) / float64(min(len(a), len(b)))
+	},
+}
+
+// Every measure's counted form, and Sim through it, must be the set
+// definition, bit for bit, on (|a∩b|, |a|, |b|): the premise that lets
+// inverted-index paths (neighbor phase, labeling phase) decide the
+// θ-test without touching the transactions.
+func TestCountedFormsMatchMeasures(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for m, def := range setDefinitions {
+		m := Measure(m)
+		cm := m.Counted()
 		for trial := 0; trial < 3000; trial++ {
 			a := randTrans(r, 15, 9)
 			b := randTrans(r, 15, 9)
 			if trial%50 == 0 {
 				a = dataset.Transaction{} // exercise the empty edge cases
 			}
-			want := tc.m(a, b)
-			got := cm(a.IntersectSize(b), len(a), len(b))
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: counted form %v != measure %v on |a∩b|=%d |a|=%d |b|=%d",
-					tc.name, got, want, a.IntersectSize(b), len(a), len(b))
+			if trial%100 == 0 {
+				b = dataset.Transaction{}
+			}
+			want := def(a, b)
+			inter := a.IntersectSize(b)
+			if got := cm(inter, len(a), len(b)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: counted form %v != set definition %v on |a∩b|=%d |a|=%d |b|=%d",
+					m, got, want, inter, len(a), len(b))
+			}
+			if got := m.Sim(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Sim %v != set definition %v on %v, %v", m, got, want, a, b)
 			}
 		}
-	}
-	if Counted(nil) == nil {
-		t.Fatal("Counted(nil) must select Jaccard, mirroring Options.Measure")
-	}
-	if Counted(Attribute(5)) != nil {
-		t.Fatal("Counted claimed an Attribute closure")
-	}
-	custom := func(a, b dataset.Transaction) float64 { return 1 }
-	if Counted(custom) != nil {
-		t.Fatal("Counted claimed a custom measure")
 	}
 }

@@ -2,26 +2,25 @@ package similarity
 
 import "testing"
 
-// Name/ByName must round-trip every built-in measure and reject
-// everything else — the property the model file format leans on.
+// String/ParseMeasure must round-trip every measure under the names a
+// model file records, and reject everything else: the property the model
+// file format leans on.
 func TestMeasureNames(t *testing.T) {
-	for _, m := range []Measure{Jaccard, Dice, Cosine, Overlap} {
-		name := Name(m)
-		if name == "" {
-			t.Fatal("built-in measure has no name")
+	for m, name := range map[Measure]string{Jaccard: "jaccard", Dice: "dice", Cosine: "cosine", Overlap: "overlap"} {
+		if m.String() != name {
+			t.Fatalf("measure %d is named %q, want %q", m, m.String(), name)
 		}
-		back := ByName(name)
-		if back == nil || Name(back) != name {
-			t.Fatalf("ByName(%q) does not round-trip", name)
+		if back, ok := ParseMeasure(name); !ok || back != m {
+			t.Fatalf("ParseMeasure(%q) = %v, %v, want %v", name, back, ok, m)
 		}
 	}
-	if Name(nil) != NameJaccard {
-		t.Fatal("nil must name Jaccard, matching Config defaulting")
+	if (Overlap + 1).String() != "" {
+		t.Fatal("a value past Overlap must have no name")
 	}
-	if Name(Attribute(4)) != "" {
-		t.Fatal("closures must have no name — they cannot be serialized")
+	if _, ok := ParseMeasure("nope"); ok {
+		t.Fatal("unknown name must not parse")
 	}
-	if ByName("nope") != nil {
-		t.Fatal("unknown name must return nil")
+	if _, ok := ParseMeasure(""); ok {
+		t.Fatal("the empty name must not parse")
 	}
 }

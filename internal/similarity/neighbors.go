@@ -40,7 +40,7 @@ func (nb *Neighbors) Stats() (avg float64, max int, total int) {
 
 // Options configure neighbor computation.
 type Options struct {
-	// Measure is the similarity; nil means Jaccard.
+	// Measure is the similarity; the zero value is Jaccard.
 	Measure Measure
 	// IncludeSelf adds each point to its own neighbor list (sim(p,p)=1 ≥ θ
 	// always holds for the provided measures on non-empty transactions).
@@ -49,13 +49,6 @@ type Options struct {
 	// Workers bounds the number of goroutines used; 0 means GOMAXPROCS.
 	// Results are identical regardless of worker count.
 	Workers int
-}
-
-func (o Options) measure() Measure {
-	if o.Measure == nil {
-		return Jaccard
-	}
-	return o.Measure
 }
 
 func (o Options) workers() int {
@@ -68,11 +61,11 @@ func (o Options) workers() int {
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Compute builds neighbor lists by brute force, evaluating the measure on
-// all O(n²) pairs. It works with any Measure and any θ. Rows are computed
-// in parallel; output is deterministic.
+// all O(n²) pairs, at any θ. Rows are computed in parallel; output is
+// deterministic.
 func Compute(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
 	n := len(ts)
-	sim := opts.measure()
+	sim := opts.Measure.Sim
 	nb := &Neighbors{Lists: make([][]int32, n)}
 	chunkwork.Rows(n, opts.workers(), 16, func(i int) {
 		var l []int32
@@ -93,11 +86,9 @@ func Compute(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
 }
 
 // ComputeIndexed builds the same neighbor lists as Compute by querying an
-// Index over ts, so it is exact for every measure and every θ. For a
-// built-in measure at θ > 0 row i queries only the ids below i: a
-// built-in measure is symmetric, so a serial pass mirrors each lower
-// half into the rows above it. A custom measure, which may be
-// asymmetric, or θ ≤ 0 evaluates every pair as Compute does.
+// Index over ts, so it is exact for every measure and every θ. Row i
+// queries only the ids below i: every measure is symmetric, so a serial
+// pass mirrors each lower half into the rows above it.
 func ComputeIndexed(ts []dataset.Transaction, theta float64, opts Options) *Neighbors {
 	nb, _ := computeIndexed(ts, theta, opts)
 	return nb
@@ -109,23 +100,6 @@ func computeIndexed(ts []dataset.Transaction, theta float64, opts Options) (*Nei
 	n := len(ts)
 	ix := NewIndex(ts, theta, opts.Measure)
 	nb := &Neighbors{Lists: make([][]int32, n)}
-	if ix.Pairwise() {
-		chunkwork.Run(n, opts.workers(), chunk, func(next func() (int, int, bool)) {
-			var row []int32
-			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-				for i := lo; i < hi; i++ {
-					row = ix.Query(ts[i], nil, row[:0]) // ascending
-					if k := slices.Index(row, int32(i)); k >= 0 && !opts.IncludeSelf {
-						row = slices.Delete(row, k, k+1)
-					}
-					if len(row) > 0 {
-						nb.Lists[i] = slices.Clone(row)
-					}
-				}
-			}
-		})
-		return nb, queryWork{}
-	}
 
 	// lower[c] holds the lower halves of chunk c's rows back to back,
 	// each sorted; lowLen[i] is row i's length.

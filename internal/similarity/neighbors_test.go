@@ -64,10 +64,38 @@ func TestThetaBoundaries(t *testing.T) {
 			t.Fatalf("theta=0 degree(%d) = %d, want 2", i, nb0.Degree(i))
 		}
 	}
-	// ComputeIndexed falls back to brute force for θ ≤ 0.
 	nbi := ComputeIndexed(ts, 0, Options{})
 	if !neighborsEqual(nb0, nbi) {
-		t.Fatal("indexed fallback at theta=0 differs from brute force")
+		t.Fatal("indexed at theta=0 differs from brute force")
+	}
+
+	// At θ ≤ 0 every pair passes, an empty transaction's included: each
+	// row holds every other point, and itself with IncludeSelf, and the
+	// index answers without reading a posting.
+	withEmpty := append(ts[:len(ts):len(ts)], tr())
+	for _, theta := range []float64{0, -0.5} {
+		for _, self := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				opts := Options{IncludeSelf: self, Workers: workers}
+				brute := Compute(withEmpty, theta, opts)
+				indexed, w := computeIndexed(withEmpty, theta, opts)
+				if !neighborsEqual(brute, indexed) {
+					t.Fatalf("theta=%v opts=%+v: indexed %v, brute force %v", theta, opts, indexed.Lists, brute.Lists)
+				}
+				if w != (queryWork{}) {
+					t.Fatalf("theta=%v opts=%+v: work %+v, want none", theta, opts, w)
+				}
+				want := len(withEmpty) - 1
+				if self {
+					want++
+				}
+				for i := range withEmpty {
+					if indexed.Degree(i) != want {
+						t.Fatalf("theta=%v opts=%+v: degree(%d) = %d, want %d", theta, opts, i, indexed.Degree(i), want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -184,23 +212,6 @@ func TestNeighborSymmetry(t *testing.T) {
 			if !slices.Contains(nb.Lists[int(j)], int32(i)) {
 				t.Fatalf("asymmetric: %d has neighbor %d but not vice versa", i, j)
 			}
-		}
-	}
-}
-
-func TestCustomMeasureWithIndex(t *testing.T) {
-	// Overlap is intersection-based, so the postings scan is exact for
-	// θ > 0; simple matching is positive on disjoint transactions, so the
-	// index must fall back to the pairwise scan.
-	r := rand.New(rand.NewSource(5))
-	ts := make([]dataset.Transaction, 60)
-	for i := range ts {
-		ts[i] = randTrans(r, 18, 7)
-	}
-	for name, m := range map[string]Measure{"overlap": Overlap, "simple-matching": simpleMatching(18)} {
-		opts := Options{Measure: m}
-		if !neighborsEqual(Compute(ts, 0.6, opts), ComputeIndexed(ts, 0.6, opts)) {
-			t.Fatalf("indexed %s differs from brute force", name)
 		}
 	}
 }

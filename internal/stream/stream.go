@@ -47,10 +47,9 @@ import (
 // initial model.
 type Config struct {
 	// Cluster parameterizes the background re-cluster runs. Zero Theta,
-	// K, and Measure inherit the initial model's frozen values; Workers
-	// and sampling apply as in core.Cluster.
-	// The measure must be (or default to) a built-in similarity — the
-	// refreshed model has to freeze.
+	// K, and Measure inherit the initial model's frozen values; the zero
+	// Measure is Jaccard, so a refresh runs Jaccard only over a Jaccard
+	// model. Workers and sampling apply as in core.Cluster.
 	Cluster core.Config
 	// Serve parameterizes the embedded serving stack (batch size, flush
 	// deadline, AssignBatch workers, drain timeout). Its Clock defaults
@@ -246,8 +245,8 @@ func New(m *core.Model, cfg Config) (*Streamer, error) {
 	if cc.K == 0 {
 		cc.K = m.K()
 	}
-	if cc.Measure == nil {
-		cc.Measure = similarity.ByName(m.MeasureName())
+	if cc.Measure == 0 { // a model's measure name always parses
+		cc.Measure, _ = similarity.ParseMeasure(m.MeasureName())
 	}
 	// The refresh input is already a bounded subsample (reservoir +
 	// outlier ring), and the drifted regime's points in it are few by
@@ -260,9 +259,6 @@ func New(m *core.Model, cfg Config) (*Streamer, error) {
 	}
 	if err := cc.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: refresh config: %w", err)
-	}
-	if similarity.Name(cc.Measure) == "" {
-		return nil, fmt.Errorf("stream: refresh measure must be a built-in similarity — the refreshed model has to freeze")
 	}
 	s := &Streamer{
 		cfg:     cfg,

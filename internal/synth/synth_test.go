@@ -19,7 +19,7 @@ func meanSims(d *dataset.Dataset, lim int) (within, across float64) {
 	}
 	for i := 0; i < n && wn+an < lim; i += step {
 		for j := i + step; j < n; j += step {
-			s := similarity.Jaccard(d.Trans[i], d.Trans[j])
+			s := similarity.Jaccard.Sim(d.Trans[i], d.Trans[j])
 			if d.Labels[i] == d.Labels[j] {
 				ws += s
 				wn++
@@ -230,7 +230,7 @@ func TestMushroomSimilarityStructure(t *testing.T) {
 	s0 := bySpecies["sp00"]
 	neighbors, pairs := 0, 0
 	for k := 0; k+1 < len(s0) && k < 300; k += 2 {
-		s := similarity.Jaccard(d.Trans[s0[k]], d.Trans[s0[k+1]])
+		s := similarity.Jaccard.Sim(d.Trans[s0[k]], d.Trans[s0[k+1]])
 		if s < 0.57 {
 			t.Fatalf("within-species sim %g below the construction bound", s)
 		}
@@ -247,7 +247,7 @@ func TestMushroomSimilarityStructure(t *testing.T) {
 	for _, other := range []string{"sp02", "sp01", "sp04", "sp07"} {
 		so := bySpecies[other]
 		for k := 0; k < 60 && k < len(so); k++ {
-			if s := similarity.Jaccard(d.Trans[s0[k]], d.Trans[so[k]]); s >= 0.8 {
+			if s := similarity.Jaccard.Sim(d.Trans[s0[k]], d.Trans[so[k]]); s >= 0.8 {
 				t.Fatalf("cross-species pair sp00/%s has sim %g ≥ 0.8", other, s)
 			}
 		}
@@ -258,7 +258,7 @@ func TestMushroomSimilarityStructure(t *testing.T) {
 	cross := 0
 	for _, i := range a {
 		for _, j := range b {
-			if similarity.Jaccard(d.Trans[i], d.Trans[j]) >= 0.8 {
+			if similarity.Jaccard.Sim(d.Trans[i], d.Trans[j]) >= 0.8 {
 				cross++
 			}
 		}

@@ -5,25 +5,23 @@ import (
 	"github.com/rockclust/rock/internal/similarity"
 )
 
-// Measure computes a similarity in [0,1] between two transactions.
+// Measure is one of the four similarity measures below; the zero value
+// is Jaccard. m.Sim(a, b) is the similarity in [0,1] of two
+// transactions under m.
 type Measure = similarity.Measure
 
-// Jaccard returns |a ∩ b| / |a ∪ b| — the paper's similarity for
-// market-basket and categorical data.
-func Jaccard(a, b Transaction) float64 { return similarity.Jaccard(a, b) }
-
-// Dice returns 2|a ∩ b| / (|a| + |b|).
-func Dice(a, b Transaction) float64 { return similarity.Dice(a, b) }
-
-// Cosine returns |a ∩ b| / √(|a|·|b|).
-func Cosine(a, b Transaction) float64 { return similarity.Cosine(a, b) }
-
-// Overlap returns |a ∩ b| / min(|a|, |b|).
-func Overlap(a, b Transaction) float64 { return similarity.Overlap(a, b) }
-
-// AttributeMeasure returns the fraction of nattrs categorical attributes
-// on which two encoded records agree.
-func AttributeMeasure(nattrs int) Measure { return similarity.Attribute(nattrs) }
+// The measures Config.Measure selects from.
+const (
+	// Jaccard is |a ∩ b| / |a ∪ b|, the paper's similarity for
+	// market-basket and categorical data.
+	Jaccard = similarity.Jaccard
+	// Dice is 2|a ∩ b| / (|a| + |b|).
+	Dice = similarity.Dice
+	// Cosine is |a ∩ b| / √(|a|·|b|).
+	Cosine = similarity.Cosine
+	// Overlap is |a ∩ b| / min(|a|, |b|).
+	Overlap = similarity.Overlap
+)
 
 // Eval summarizes the agreement between a clustering and ground-truth
 // labels: the literature's clustering accuracy r, error e and absolute

@@ -90,8 +90,8 @@ type Model = core.Model
 // them — a model frozen from a sampled run reproduces that run's
 // labeling exactly — and otherwise are drawn fresh from res.Clusters by
 // the same pass the labeling phase uses (cfg.LabelFraction /
-// cfg.MaxLabelPoints, seeded by cfg.Seed). cfg.Measure must be nil or a
-// built-in measure — custom similarity functions cannot be serialized.
+// cfg.MaxLabelPoints, seeded by cfg.Seed). The model records cfg.Measure
+// by name, and Freeze rejects a cfg that Config.Validate rejects.
 func Freeze(ts []Transaction, res *Result, cfg Config) (*Model, error) {
 	return core.Freeze(ts, res, cfg)
 }
