@@ -1,7 +1,8 @@
 // Package chunkwork provides the chunked atomic-cursor work-claiming
 // loop shared by the pipeline's sharded phases: the labeling phase and
 // Model.AssignBatch (core), the neighbor computations (similarity), and
-// the link builder (linkage.Build).
+// the link builder and its count-only pass (linkage.Build and
+// CountPairs).
 //
 // The pattern: workers goroutines (the calling goroutine participates as
 // one of them, so a Run costs workers−1 spawns) repeatedly claim

@@ -86,6 +86,10 @@ type Config struct {
 	// Model.batchSerialBelow: the oracle tests force the sharded path
 	// below the crossover.
 	labelSerialBelow int
+	// forceLinkTable makes the merge phase build the link table and run
+	// the arena even where the link graph's components are its result.
+	// Unexported: the pipeline oracle compares the two paths.
+	forceLinkTable bool
 }
 
 // withDefaults returns a copy with all optional fields populated.

@@ -181,8 +181,9 @@ func runAgglomeration(a *arena, k, weedTrigger, weedMaxSize int, trace bool) eng
 // (checkPowTable, shared with mergePhase's components path) and on a
 // folded count past int32, which singleton slots cannot produce. The
 // count guard, like addCounts's panic, belongs to the arena alone: the
-// components path reads no counts, so an input whose folded counts
-// overflow still returns its components when they number K or more.
+// components path builds no table and reads no counts, so an input whose
+// folded counts would overflow still returns its components when they
+// number K or more.
 func newArena(lt *linkage.Compact, slotOf []int32, slots int, good Goodness, f float64) (*arena, error) {
 	if err := checkPowTable(good, len(slotOf), f); err != nil {
 		return nil, err

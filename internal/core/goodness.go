@@ -17,14 +17,15 @@
 // entry point only adds a seed, which exempts its points from pruning and
 // starts the arena from its groups.
 //
-// The merge phase (merge.go) builds the arena only when the answer
-// depends on the merge order. A merge joins only clusters that share a
-// link, and every goodness kind scores a shared link above zero, so the
-// merge loop never joins two connected components of the link graph and
-// always merges within one while it holds two clusters. With K or more
-// components it therefore ends at exactly those components; when no
-// trace is asked for and weeding cannot fire first, mergePhase returns
-// them from a disjoint-set forest without building the arena, and
+// The merge phase (merge.go) builds the link table and the arena only
+// when the answer depends on the merge order. A merge joins only
+// clusters that share a link, and every goodness kind scores a shared
+// link above zero, so the merge loop never joins two connected
+// components of the link graph and always merges within one while it
+// holds two clusters. With K or more components it therefore ends at
+// exactly those components; when no trace is asked for and weeding
+// cannot fire first, mergePhase returns them from a disjoint-set forest
+// over the neighbor lists without building either, and
 // TestMergePhaseComponentsOracle holds that path equal to the arena's.
 //
 // Arena invariants (engine.go): clusters live in slots [0, m), one per

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/rockclust/rock/internal/similarity"
 )
 
 func TestMarketBasketF(t *testing.T) {
@@ -189,10 +191,12 @@ func TestPowTableOverflow(t *testing.T) {
 		t.Fatalf("empty arena at exponent -3: %v", err)
 	}
 	// The merge phase fails alike whether it returns the 3 components
-	// (K ≤ 3) or builds the arena (K = 4).
+	// (K ≤ 3) or builds the arena (K = 4), over lists that link 0–1
+	// through 3 and 1–2 through 4, as lt does.
+	nb := &similarity.Neighbors{Lists: [][]int32{nil, nil, nil, {0, 1}, {1, 2}}}
 	for _, k := range []int{3, 4} {
 		for _, good := range []Goodness{GoodnessROCK, GoodnessLinkCount} {
-			_, err := mergePhase(lt, slotOf, 5, Config{K: k, Goodness: good, F: ConstantF(1000)}.withDefaults())
+			_, err := mergePhase(nb, slotOf, 5, Config{K: k, Goodness: good, F: ConstantF(1000)}.withDefaults(), &Stats{})
 			wantErr := good == GoodnessROCK
 			if (err != nil) != wantErr || wantErr && !strings.Contains(err.Error(), "2001") {
 				t.Fatalf("merge phase K=%d goodness %d: err = %v", k, good, err)

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/rockclust/rock/internal/dataset"
-	"github.com/rockclust/rock/internal/linkage"
 	"github.com/rockclust/rock/internal/similarity"
 )
 
@@ -58,9 +56,16 @@ type Stats struct {
 	Unlabeled       int     // candidates no cluster would accept
 	AvgNeighbors    float64 // m_a over the sample
 	MaxNeighbors    int     // m_m over the sample
-	LinkPairs       int     // undirected pairs with positive link count
-	LinkEntries     int64   // directed CSR link entries (2×LinkPairs; int64 — big tables pass 2³¹)
-	Merges          int
+	// LinkPairs counts the undirected pairs with a positive link count,
+	// and LinkEntries their directed entries, 2×LinkPairs (int64: big
+	// tables pass 2³¹). When the merge ends at the link graph's
+	// components no table is built: the pairs are counted without one
+	// (linkage.CountPairs), and LinkEntries is 2×LinkPairs, not the
+	// length of a CSR table. Either way both read what a built table's
+	// Pairs and Entries would.
+	LinkPairs   int
+	LinkEntries int64
+	Merges      int
 	// StoppedEarly reports that the merge ran out of cross links before
 	// reaching K: more than K clusters remain, each a whole connected
 	// component of the link graph over the points the merge kept.
@@ -144,31 +149,23 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	// seeded points are never pruned.
 	kept, prunedLocal := pruneByDegree(nb, cfg.MinNeighbors, groupOf)
 	res.Stats.Pruned = len(prunedLocal)
-	for _, l := range prunedLocal {
-		res.Outliers = append(res.Outliers, sample[l])
-	}
 	keptNb := filterNeighbors(nb, kept)
 
-	// Phase 4: links over the kept sample, built directly in CSR form —
-	// deterministic and worker-count independent.
-	lt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers})
-	res.Stats.LinkPairs = lt.Pairs()
-	res.Stats.LinkEntries = int64(lt.Entries())
-
-	// Phase 5: merge, from one slot per seed group plus one singleton per
-	// other kept point: the link graph's components when there are K or
-	// more of them, the arena engine otherwise (mergePhase).
+	// Phases 4 and 5: links and merge, from one slot per seed group plus
+	// one singleton per other kept point (mergePhase). The link graph's
+	// components come first, from keptNb alone. When there are K or more
+	// of them the merge ends there: the link table is never built, and
+	// its pairs are counted without it. Otherwise the table is built in
+	// CSR form, deterministic and worker-count independent, and the
+	// arena merges over it.
 	slotOf, slots := seedSlots(kept, len(seed), groupOf)
-	eng, err := mergePhase(lt, slotOf, slots, cfg)
+	eng, err := mergePhase(keptNb, slotOf, slots, cfg, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.Merges = eng.merges
 	res.Stats.StoppedEarly = eng.stoppedEarly
 	res.Stats.Weeded = len(eng.weeded)
-	for _, l := range eng.weeded {
-		res.Outliers = append(res.Outliers, sample[kept[l]])
-	}
 	if cfg.TraceMerges {
 		res.MergeTrace = eng.trace
 		res.TracePoints = make([]int, len(kept))
@@ -178,68 +175,89 @@ func cluster(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result, error
 	}
 
 	// Map engine clusters (kept-local indices) back to input indices.
-	res.Clusters = make([][]int, len(eng.clusters))
 	for ci, members := range eng.clusters {
-		global := make([]int, len(members))
-		for i, l := range members {
-			global[i] = sample[kept[l]]
-		}
-		res.Clusters[ci] = global
-		for _, g := range global {
-			res.Assign[g] = ci
+		for _, l := range members {
+			res.Assign[sample[kept[l]]] = ci
 		}
 	}
+	res.Clusters = make([][]int, len(eng.clusters))
+	collectAssign(res)
 	res.Stats.ClustersFound = len(res.Clusters)
 
 	// Phase 6: label the rest of the dataset (and, with LabelOutliers,
 	// the sample's pruned/weeded points) against cluster subsets, on the
 	// indexed labeler sharded across cfg.Workers (assignments
-	// byte-identical to the serial pairwise reference).
+	// byte-identical to the serial pairwise reference). Every point no
+	// cluster holds yet is outside the sample, pruned or weeded, so the
+	// candidates come ascending from one pass over Assign, and a second
+	// pass refills members and outliers once labeling has moved any.
 	var candidates []int
-	if sampled {
+	if sampled || cfg.LabelOutliers {
 		inSample := make([]bool, n)
 		for _, j := range sample {
 			inSample[j] = true
 		}
-		for p := 0; p < n; p++ {
-			if !inSample[p] {
+		for p, ci := range res.Assign {
+			if ci < 0 && (cfg.LabelOutliers || !inSample[p]) {
 				candidates = append(candidates, p)
 			}
 		}
 	}
-	if cfg.LabelOutliers {
-		candidates = append(candidates, res.Outliers...)
-		res.Outliers = nil
-	}
-	sort.Ints(candidates)
 	res.Stats.LabelCandidates = len(candidates)
 	if len(candidates) > 0 {
 		if len(res.Clusters) == 0 {
 			res.Stats.Unlabeled += len(candidates)
-			res.Outliers = append(res.Outliers, candidates...)
 		} else {
 			sets := labelSets(res.Clusters, cfg, rng)
 			res.LabelSets = sets
 			assign := labelCandidates(ts, candidates, sets, cfg)
 			for i, p := range candidates {
-				ci := assign[i]
-				if ci < 0 {
+				if ci := assign[i]; ci >= 0 {
+					res.Stats.Labeled++
+					res.Assign[p] = ci
+				} else {
 					res.Stats.Unlabeled++
-					res.Outliers = append(res.Outliers, p)
-					continue
 				}
-				res.Stats.Labeled++
-				res.Assign[p] = ci
-				res.Clusters[ci] = append(res.Clusters[ci], p)
-			}
-			for _, c := range res.Clusters {
-				sort.Ints(c)
 			}
 		}
 	}
-
-	sort.Ints(res.Outliers)
+	if res.Stats.Labeled > 0 {
+		collectAssign(res)
+	}
 	return res, nil
+}
+
+// collectAssign fills res.Clusters, whose length is the cluster count,
+// and res.Outliers, ascending, in one pass over res.Assign: a point is
+// an outlier exactly when no cluster holds it. The clusters share one
+// backing array, each slice's capacity clipped to its length; Outliers
+// stays nil when there are none.
+func collectAssign(res *Result) {
+	sizes := make([]int, len(res.Clusters))
+	outliers := 0
+	for _, ci := range res.Assign {
+		if ci < 0 {
+			outliers++
+		} else {
+			sizes[ci]++
+		}
+	}
+	members := make([]int, len(res.Assign)-outliers)
+	for ci, size := range sizes {
+		res.Clusters[ci] = members[:0:size]
+		members = members[size:]
+	}
+	res.Outliers = nil
+	if outliers > 0 {
+		res.Outliers = make([]int, 0, outliers)
+	}
+	for p, ci := range res.Assign {
+		if ci < 0 {
+			res.Outliers = append(res.Outliers, p)
+		} else {
+			res.Clusters[ci] = append(res.Clusters[ci], p)
+		}
+	}
 }
 
 // neighborPhase computes the θ-neighbor lists of ts on the exact

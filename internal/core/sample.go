@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // SampleIndices draws size indices uniformly without replacement from
@@ -21,8 +20,18 @@ func SampleIndices(n, size int, rng *rand.Rand) []int {
 		j := i + rng.Intn(n-i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	out := perm[:size]
-	sort.Ints(out)
+	// Emit the drawn indices in ascending order, into the perm's own
+	// storage: the marks are set before the first write.
+	drawn := make([]bool, n)
+	for _, p := range perm[:size] {
+		drawn[p] = true
+	}
+	out := perm[:0]
+	for p, d := range drawn {
+		if d {
+			out = append(out, p)
+		}
+	}
 	return out
 }
 

@@ -355,8 +355,9 @@ func TestSeedFoldOracle(t *testing.T) {
 
 // TestSeedFoldOverflow: a folded cross-link count past int32 must fail
 // with an error, never wrap into a corrupt goodness value. The merge
-// phase fails the same way when it builds the arena, at K above the one
-// component; at K = 1 it returns that component and reads no count.
+// phase's arena fails the same way, at K above the one component; at
+// K = 1 the merge phase returns that component from the lists, builds
+// no table and reads no count.
 func TestSeedFoldOverflow(t *testing.T) {
 	lt := tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1 << 30})
 	if _, err := newArena(lt, []int32{0, 0, 1}, 2, GoodnessROCK, 0.5); err == nil || !strings.Contains(err.Error(), "exceeds 2^31") {
@@ -366,13 +367,19 @@ func TestSeedFoldOverflow(t *testing.T) {
 		t.Fatal("oracle fold accepted the overflowing count")
 	}
 	cfg := Config{K: 2, F: ConstantF(0.5)}.withDefaults()
-	if _, err := mergePhase(lt, []int32{0, 0, 1}, 2, cfg); err == nil || !strings.Contains(err.Error(), "exceeds 2^31") {
-		t.Fatalf("merge phase at K=2: err = %v, want the 2^31 overflow error", err)
+	if _, err := arenaMerge(lt, []int32{0, 0, 1}, 2, cfg, 0); err == nil || !strings.Contains(err.Error(), "exceeds 2^31") {
+		t.Fatalf("arena merge at K=2: err = %v, want the 2^31 overflow error", err)
 	}
 	cfg.K = 1
-	res, err := mergePhase(lt, []int32{0, 0, 1}, 2, cfg)
+	// 1 lists 0 and 2, and 0 lists 1 and 2: the links 0–2 and 1–2 of lt.
+	nb := &similarity.Neighbors{Lists: [][]int32{{1, 2}, {0, 2}, nil}}
+	var stats Stats
+	res, err := mergePhase(nb, []int32{0, 0, 1}, 2, cfg, &stats)
 	if err != nil || !reflect.DeepEqual(res.clusters, [][]int{{0, 1, 2}}) || res.merges != 1 || res.stoppedEarly {
 		t.Fatalf("merge phase at K=1: %+v, %v; want the one component after one merge", res, err)
+	}
+	if stats.LinkPairs != 2 || stats.LinkEntries != 4 {
+		t.Fatalf("merge phase at K=1: %d link pairs, %d entries; want 2 and 4", stats.LinkPairs, stats.LinkEntries)
 	}
 	lt = tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1<<30 - 1})
 	if _, err := newArena(lt, []int32{0, 0, 1}, 2, GoodnessROCK, 0.5); err != nil {

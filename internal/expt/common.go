@@ -104,9 +104,10 @@ func evalNote(name string, ev metrics.Eval) string {
 
 // linkStatsNote renders one ROCK run's pipeline ledger in the shared
 // form of the E-report notes: neighbor densities (the paper's m_a/m_m),
-// the CSR link table volume (link-entries is the directed entry count
-// the link builder materialized, 2× the undirected pairs), and the
-// outlier/merge counters.
+// the link table volume (link-entries is the directed entry count, 2×
+// the undirected pairs, whether the table was built or, when the merge
+// ended at the link graph's components, its pairs counted without it),
+// and the outlier/merge counters.
 func linkStatsNote(st core.Stats) string {
 	return fmt.Sprintf("stats: m_a=%.1f m_m=%d link-pairs=%d link-entries=%d pruned=%d weeded=%d merges=%d",
 		st.AvgNeighbors, st.MaxNeighbors, st.LinkPairs, st.LinkEntries, st.Pruned, st.Weeded, st.Merges)

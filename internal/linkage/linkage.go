@@ -14,6 +14,13 @@
 // FromNeighbors, the paper's serial loop into a map-based Table, and
 // Dense, which recomputes every count as a bitset intersection popcount.
 //
+// CountPairs is the count-only pass: it returns Build's Pairs() without
+// keeping a count or building the table, on the kernel Build would pick
+// and with the same transpose and forward bit rows. The pipeline calls
+// it instead of Build when the merge ends at the link graph's
+// components, which it counts from the neighbor lists, and reads no
+// count. Its tests hold it to Build's pair count.
+//
 // The production representation is Compact, a CSR (compressed sparse
 // row) table with these invariants: rowStart is int64 and has length
 // n+1, so tables index exactly past 2³¹ total entries; row i occupies

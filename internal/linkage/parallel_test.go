@@ -234,17 +234,24 @@ func TestBuildWorkCounts(t *testing.T) {
 	}
 }
 
-// The transpose inside Build makes it exact even for
-// asymmetric neighbor lists (which no measure produces, but the
-// pair-counting definition permits): it must match FromNeighbors, whose
-// contract is pair counting, not the symmetric-only Dense oracle.
-func TestParallelCSRAsymmetricLists(t *testing.T) {
-	nb := &similarity.Neighbors{Lists: [][]int32{
+// asymmetricLists returns four lists no measure produces but the
+// pair-counting definition permits: 1 lists 2 but not 0, and 2 lists
+// nobody.
+func asymmetricLists() *similarity.Neighbors {
+	return &similarity.Neighbors{Lists: [][]int32{
 		{1, 2, 3}, // 0's neighbors
 		{2},       // 1 lists 2 but not 0
 		{},        // 2 lists nobody
 		{0, 1},    // 3
 	}}
+}
+
+// The transpose inside Build makes it exact even for
+// asymmetric neighbor lists (which no measure produces, but the
+// pair-counting definition permits): it must match FromNeighbors, whose
+// contract is pair counting, not the symmetric-only Dense oracle.
+func TestParallelCSRAsymmetricLists(t *testing.T) {
+	nb := asymmetricLists()
 	want := CompactFrom(FromNeighbors(nb))
 	for _, w := range []int{1, 2, 4} {
 		if got := Build(nb, Options{Workers: w}); !got.Equal(want) {

@@ -1,7 +1,6 @@
 package similarity
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/rockclust/rock/internal/dataset"
@@ -138,9 +137,10 @@ func NewIndex(ts []dataset.Transaction, theta float64, m Measure) *Index {
 		}
 	}
 
-	// Rank the held items by (frequency, id). Vocabulary-interned ids
-	// always take the dense array: their id space is within a small
-	// factor of the item occurrences it indexes.
+	// Rank the held items by (frequency, id): a counting sort on
+	// frequency, over the items in ascending id. Vocabulary-interned ids
+	// always take the dense array, whose items come in id order; the
+	// rare sparse or negative ids are sorted first.
 	var items []dataset.Item
 	var freq func(dataset.Item) int32
 	if !negative && nitems <= 4*occurrences+1024 {
@@ -166,16 +166,15 @@ func NewIndex(ts []dataset.Transaction, theta float64, m Measure) *Index {
 		for it := range ix.rankMap {
 			items = append(items, it)
 		}
+		slices.Sort(items)
 		freq = func(it dataset.Item) int32 { return ix.rankMap[it] }
 	}
-	slices.SortFunc(items, func(a, b dataset.Item) int {
-		return cmp.Or(cmp.Compare(freq(a), freq(b)), cmp.Compare(a, b))
-	})
-	// seg[2r+2] counts rank r's postings and seg[2r+1] its prefix
-	// postings until the offsets are summed below.
+	items = byFrequency(items, freq)
+	// seg[2r] is rank r's first posting and seg[2r+2] its end; seg[2r+1],
+	// the end of its prefix postings, is set as they are placed.
 	ix.seg = make([]int, 2*len(items)+1)
 	for r, it := range items {
-		ix.seg[2*r+2] = int(freq(it))
+		ix.seg[2*r+2] = ix.seg[2*r] + int(freq(it))
 	}
 	if ix.rank != nil {
 		for it := range ix.rank {
@@ -190,52 +189,76 @@ func NewIndex(ts []dataset.Transaction, theta float64, m Measure) *Index {
 		}
 	}
 
-	// Each transaction's ranks, ascending, and its prefix postings.
+	// Every occurrence into its rank's postings, in ascending j.
+	fill := make([]int, len(items))
+	for r := range fill {
+		fill[r] = ix.seg[2*r]
+	}
+	ix.post = make([]int32, occurrences)
+	ix.xoff = make([]int, len(ts)+1)
+	for j, t := range ts {
+		ix.xoff[j+1] = ix.xoff[j] + len(t)
+		for _, it := range t {
+			r := ix.rankOf(it)
+			ix.post[fill[r]] = int32(j)
+			fill[r]++
+		}
+	}
+
+	// Each transaction's ranks, ascending: the ranks are walked in
+	// order, each appending itself to the row of every transaction in its
+	// postings. Its position there says whether the posting lies in the
+	// transaction's prefix, and a stable partition puts each rank's
+	// prefix postings first, in place, with the rest through a buffer.
 	prefix := make([]int, ix.maxLen+1) // prefix length by transaction length
 	for l := range prefix {
 		prefix[l] = l - indexAlpha(ix.cm, theta, l) + 1
 	}
-	ix.xoff = make([]int, len(ts)+1)
 	ix.xr = make([]int32, occurrences)
-	for j, t := range ts {
-		x := ix.xr[ix.xoff[j] : ix.xoff[j]+len(t)]
-		ix.xoff[j+1] = ix.xoff[j] + len(t)
-		for k, it := range t {
-			x[k] = ix.rankOf(it)
-		}
-		slices.Sort(x)
-		for _, r := range x[:prefix[len(x)]] {
-			ix.seg[2*r+1]++
-		}
-	}
-
-	// Offsets, then the postings. fill[r] is rank r's next prefix slot
-	// and seg[2r+1] its next slot among the rest, until it is reset.
-	fill := make([]int, len(items))
-	at := 0
+	next := slices.Clone(ix.xoff[:len(ts)]) // each row's next slot
+	var rest []int32
 	for r := range items {
-		n, np := ix.seg[2*r+2], ix.seg[2*r+1]
-		ix.seg[2*r], fill[r], ix.seg[2*r+1] = at, at, at+np
-		at += n
-	}
-	ix.seg[2*len(items)] = at
-	ix.post = make([]int32, occurrences)
-	for j := range ts {
-		x := ix.xr[ix.xoff[j]:ix.xoff[j+1]]
-		p := prefix[len(x)]
-		for _, r := range x[:p] {
-			ix.post[fill[r]] = int32(j)
-			fill[r]++
+		w := ix.seg[2*r]
+		for _, j := range ix.post[w:ix.seg[2*r+2]] {
+			at := next[j]
+			ix.xr[at] = int32(r)
+			next[j]++
+			if at-ix.xoff[j] < prefix[ix.xoff[j+1]-ix.xoff[j]] {
+				ix.post[w] = j // w never passes the posting being read
+				w++
+			} else {
+				rest = append(rest, j)
+			}
 		}
-		for _, r := range x[p:] {
-			ix.post[ix.seg[2*r+1]] = int32(j)
-			ix.seg[2*r+1]++
-		}
-	}
-	for r := range items {
-		ix.seg[2*r+1] = fill[r]
+		ix.seg[2*r+1] = w
+		copy(ix.post[w:], rest)
+		rest = rest[:0]
 	}
 	return ix
+}
+
+// byFrequency returns items, which come in ascending id, stably
+// reordered by ascending frequency: a counting sort, so the order is
+// (frequency, id).
+func byFrequency(items []dataset.Item, freq func(dataset.Item) int32) []dataset.Item {
+	top := int32(0)
+	for _, it := range items {
+		top = max(top, freq(it))
+	}
+	start := make([]int, top+2) // start[f+1] counts frequency f until summed
+	for _, it := range items {
+		start[freq(it)+1]++
+	}
+	for f := 1; f < len(start); f++ {
+		start[f] += start[f-1]
+	}
+	out := make([]dataset.Item, len(items))
+	for _, it := range items {
+		f := freq(it)
+		out[start[f]] = it
+		start[f]++
+	}
+	return out
 }
 
 // rankOf returns item it's rank, -1 when no indexed transaction holds it.
