@@ -39,13 +39,14 @@
 // runs on a serial, allocation-free arena. Every optimized engine
 // produces output byte-identical to its reference, kept in test code, at
 // every worker count, enforced by randomized oracle tests under the race
-// detector; labeling runs serially below 1024 candidates, where sharding
-// would not pay. ARCHITECTURE.md is the authoritative description of the
-// machinery (the CSR link table, the arena merge engine, the labeling
-// index, the oracle discipline). cmd/rockbench regenerates every table
-// and figure of the paper's evaluation plus the serving, neighbor,
-// streaming and algorithm-zoo BENCH_*.json records; the perfbench module
-// times whole pipeline runs phase by phase.
+// detector. Workers claim rows or candidates 64 at a time, so a phase of
+// one chunk runs on the calling goroutine. ARCHITECTURE.md is the
+// authoritative description of the machinery (the CSR link table, the
+// arena merge engine, the labeling index, the oracle discipline).
+// cmd/rockbench regenerates every table and figure of the paper's
+// evaluation plus the serving, neighbor, streaming and algorithm-zoo
+// BENCH_*.json records; the perfbench module times whole pipeline runs
+// phase by phase.
 //
 // # Serving
 //

@@ -65,10 +65,11 @@ type Config struct {
 
 	// Workers bounds parallelism in the neighbor, link, and labeling
 	// phases; 0 = GOMAXPROCS, and a negative value is rejected. Results
-	// are byte-identical for every worker count. Labeling shards only
-	// runs of 1024 or more candidates; below that the goroutine handoff
-	// costs more than it saves. Both the neighbor and the labeling phase
-	// query a similarity.Index, which is exact for every Measure and θ.
+	// are byte-identical for every worker count. Each phase's workers
+	// claim chunks of 64 rows or candidates, so a phase with a single
+	// chunk runs on the calling goroutine. Both the neighbor and the
+	// labeling phase query a similarity.Index, which is exact for every
+	// Measure and θ.
 	Workers int
 
 	// TraceMerges records every merge step into Result.MergeTrace,
@@ -81,11 +82,6 @@ type Config struct {
 	// paper discards them; this is an extension.
 	LabelOutliers bool
 
-	// labelSerialBelow overrides the labeling phase's serial crossover: 0
-	// picks labelSerialCutoff, negative always shards. Unexported, like
-	// Model.batchSerialBelow: the oracle tests force the sharded path
-	// below the crossover.
-	labelSerialBelow int
 	// forceLinkTable makes the merge phase build the link table and run
 	// the arena even where the link graph's components are its result.
 	// Unexported: the pipeline oracle compares the two paths.

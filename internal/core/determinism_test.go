@@ -23,10 +23,9 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 		// Every run takes the chunked link builder, so link-phase
 		// parallelism is exercised, not just the neighbor phase.
 		{Theta: 0.5, K: 4, Seed: 13, TraceMerges: true},
-		// labelSerialBelow: -1 forces candidate sharding in the labeling
-		// phase even at this test's candidate count, so label-phase
-		// parallelism is exercised alongside sampling.
-		{Theta: 0.5, K: 4, Seed: 17, SampleSize: 120, labelSerialBelow: -1, LabelOutliers: true},
+		// The 100 unsampled points span two 64-candidate chunks, so
+		// label-phase parallelism is exercised alongside sampling.
+		{Theta: 0.5, K: 4, Seed: 17, SampleSize: 120, LabelOutliers: true},
 	}
 	for ci, base := range configs {
 		ts := randomTransactionsCore(r, 220, 7, 25)
@@ -74,8 +73,7 @@ func TestChunkedClusterDeterministicAcrossWorkers(t *testing.T) {
 	configs := []ChunkedConfig{
 		{Base: Config{Theta: 0.5, K: 3, Seed: 5}, ChunkSize: 60},
 		{Base: Config{Theta: 0.4, K: 4, Seed: 11, MinNeighbors: 1}, ChunkSize: 45, ChunkK: 6, Reps: 3},
-		// Force the sharded label path inside every sub-run.
-		{Base: Config{Theta: 0.5, K: 3, Seed: 23, labelSerialBelow: -1}, ChunkSize: 80},
+		{Base: Config{Theta: 0.5, K: 3, Seed: 23}, ChunkSize: 80},
 	}
 	for ci, base := range configs {
 		ts := randomTransactionsCore(r, 260, 6, 22)

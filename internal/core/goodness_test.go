@@ -190,11 +190,11 @@ func TestPowTableOverflow(t *testing.T) {
 	if _, err := newArena(tableFromPairs(0, nil), nil, 0, GoodnessROCK, -2); err != nil {
 		t.Fatalf("empty arena at exponent -3: %v", err)
 	}
-	// The merge phase fails alike whether it returns the 3 components
-	// (K ≤ 3) or builds the arena (K = 4), over lists that link 0–1
-	// through 3 and 1–2 through 4, as lt does.
-	nb := &similarity.Neighbors{Lists: [][]int32{nil, nil, nil, {0, 1}, {1, 2}}}
-	for _, k := range []int{3, 4} {
+	// The merge phase fails alike whether it returns the 2 components
+	// (K = 2) or builds the arena (K = 3), over symmetric lists that link
+	// 0–1 through 3 and 1–2 through 4, as lt does, and 3–4 through 1.
+	nb := &similarity.Neighbors{Lists: [][]int32{{3}, {3, 4}, {4}, {0, 1}, {1, 2}}}
+	for _, k := range []int{2, 3} {
 		for _, good := range []Goodness{GoodnessROCK, GoodnessLinkCount} {
 			_, err := mergePhase(nb, slotOf, 5, Config{K: k, Goodness: good, F: ConstantF(1000)}.withDefaults(), &Stats{})
 			wantErr := good == GoodnessROCK

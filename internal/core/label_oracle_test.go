@@ -29,8 +29,8 @@ var labelOracleMeasures = []struct {
 
 // TestLabelOracleRandom proves the indexed/parallel labeler assignment-
 // identical to the serial pairwise reference on randomized labeled-set
-// structures: every measure, worker counts 1/2/4/8, and both sides of the
-// serial crossover (forced-parallel and forced-serial).
+// structures: every measure and worker counts 1/2/4/8, over 30 to 279
+// points, so the candidates span up to five 64-candidate chunks.
 func TestLabelOracleRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -74,12 +74,10 @@ func TestLabelOracleRandom(t *testing.T) {
 
 		ref := labelCandidatesReference(ts, candidates, sets, theta, f, m.fn)
 		for _, workers := range labelWorkerCounts {
-			for _, serialBelow := range []int{-1, n + 1} {
-				got := newLabeler(ts, sets, theta, f, m.fn).run(candidates, workers, serialBelow)
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("seed=%d n=%d sets=%d measure=%s workers=%d serialBelow=%d: assignments diverge\ngot: %v\nref: %v",
-						seed, n, len(sets), m.name, workers, serialBelow, got, ref)
-				}
+			got := newLabeler(ts, sets, theta, f, m.fn).run(candidates, workers)
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("seed=%d n=%d sets=%d measure=%s workers=%d: assignments diverge\ngot: %v\nref: %v",
+					seed, n, len(sets), m.name, workers, got, ref)
 			}
 		}
 	}
@@ -88,11 +86,10 @@ func TestLabelOracleRandom(t *testing.T) {
 // TestLabelOracleCluster proves the pipeline's labeling phase
 // assignment-identical to the serial pairwise reference across randomized
 // configs (θ, sample size, LabelFraction, MaxLabelPoints, LabelOutliers,
-// pruning, weeding, every measure) and worker counts 1/2/4/8 on both
-// sides of the serial crossover. Each run's candidates are relabeled by
-// labelCandidatesReference over the run's own Result.LabelSets, and
-// Assign must agree on every one; every run of a config must also
-// serialize to the same bytes.
+// pruning, weeding, every measure) and worker counts 1/2/4/8. Each run's
+// candidates are relabeled by labelCandidatesReference over the run's
+// own Result.LabelSets, and Assign must agree on every one; every run of
+// a config must also serialize to the same bytes.
 func TestLabelOracleCluster(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 24; trial++ {
@@ -119,33 +116,30 @@ func TestLabelOracleCluster(t *testing.T) {
 
 		var first []byte
 		for _, workers := range labelWorkerCounts {
-			for _, serialBelow := range []int{0, -1} {
-				label := fmt.Sprintf("trial=%d measure=%s workers=%d serialBelow=%d", trial, m.name, workers, serialBelow)
-				runCfg := cfg
-				runCfg.Workers = workers
-				runCfg.labelSerialBelow = serialBelow
-				got, err := Cluster(ts, runCfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			label := fmt.Sprintf("trial=%d measure=%s workers=%d", trial, m.name, workers)
+			runCfg := cfg
+			runCfg.Workers = workers
+			got, err := Cluster(ts, runCfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got.Stats.LabelCandidates != len(candidates) {
+				t.Fatalf("%s: Stats.LabelCandidates = %d, want %d", label, got.Stats.LabelCandidates, len(candidates))
+			}
+			ref := labelCandidatesReference(ts, candidates, got.LabelSets, cfg.Theta, MarketBasketF(cfg.Theta), m.fn)
+			for i, p := range candidates {
+				if got.Assign[p] != ref[i] {
+					t.Fatalf("%s: candidate %d: Assign = %d, reference = %d", label, p, got.Assign[p], ref[i])
 				}
-				if got.Stats.LabelCandidates != len(candidates) {
-					t.Fatalf("%s: Stats.LabelCandidates = %d, want %d", label, got.Stats.LabelCandidates, len(candidates))
-				}
-				ref := labelCandidatesReference(ts, candidates, got.LabelSets, cfg.Theta, MarketBasketF(cfg.Theta), m.fn)
-				for i, p := range candidates {
-					if got.Assign[p] != ref[i] {
-						t.Fatalf("%s: candidate %d: Assign = %d, reference = %d", label, p, got.Assign[p], ref[i])
-					}
-				}
-				var buf bytes.Buffer
-				if err := WriteResult(&buf, got); err != nil {
-					t.Fatalf("%s: serialize: %v", label, err)
-				}
-				if first == nil {
-					first = buf.Bytes()
-				} else if !bytes.Equal(buf.Bytes(), first) {
-					t.Fatalf("%s: serialized bytes diverge from workers=%d serialBelow=0", label, labelWorkerCounts[0])
-				}
+			}
+			var buf bytes.Buffer
+			if err := WriteResult(&buf, got); err != nil {
+				t.Fatalf("%s: serialize: %v", label, err)
+			}
+			if first == nil {
+				first = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("%s: serialized bytes diverge from workers=%d", label, labelWorkerCounts[0])
 			}
 		}
 	}
@@ -192,7 +186,7 @@ func TestLabelThetaZeroOracle(t *testing.T) {
 	candidates := []int{10, 11, 12, 40, 79}
 	ref := labelCandidatesReference(ts, candidates, sets, 0, 0.5, similarity.Jaccard)
 	for _, workers := range labelWorkerCounts {
-		got := newLabeler(ts, sets, 0, 0.5, similarity.Jaccard).run(candidates, workers, -1)
+		got := newLabeler(ts, sets, 0, 0.5, similarity.Jaccard).run(candidates, workers)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: got %v, ref %v", workers, got, ref)
 		}

@@ -53,7 +53,7 @@ func TestLabelArgmaxProperty(t *testing.T) {
 		f := MarketBasketF(theta)
 		m := labelOracleMeasures[int(seed)%len(labelOracleMeasures)]
 
-		got := newLabeler(ts, sets, theta, f, m.fn).run(candidates, 1+int(seed)%4, -1)
+		got := newLabeler(ts, sets, theta, f, m.fn).run(candidates, 1+int(seed)%4)
 		for i, p := range candidates {
 			// Brute-force scores straight from the definition.
 			best, bestScore := -1, 0.0
@@ -141,8 +141,8 @@ func TestLabelNoNeighborIsOutlier(t *testing.T) {
 
 // Labeling must be a no-op when no sample is drawn (SampleSize ≥ n or 0)
 // and LabelOutliers is off: zero candidates, zero labeled/unlabeled, and
-// the labeling knobs (LabelFraction, MaxLabelPoints, the forced-sharding
-// crossover) must not perturb a single output byte.
+// the labeling knobs (LabelFraction, MaxLabelPoints) must not perturb a
+// single output byte.
 func TestLabelNoopWithoutSampling(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ts := randomTransactionsCore(r, 150, 6, 20)
@@ -162,7 +162,6 @@ func TestLabelNoopWithoutSampling(t *testing.T) {
 		perturbed := base
 		perturbed.LabelFraction = 0.9
 		perturbed.MaxLabelPoints = 3
-		perturbed.labelSerialBelow = -1
 		res, err := Cluster(ts, perturbed)
 		if err != nil {
 			t.Fatal(err)
@@ -177,19 +176,17 @@ func TestLabelNoopWithoutSampling(t *testing.T) {
 	}
 }
 
-// Labeling zero candidates must be a cheap no-op on every path —
-// regression test: forced sharding (negative serialBelow) used to cap
-// the workers to zero and panic the coordinator's WaitGroup.
+// Labeling zero candidates must be a cheap no-op at every worker count —
+// regression test: sharding zero candidates used to cap the workers to
+// zero and panic the coordinator's WaitGroup.
 func TestLabelEmptyCandidates(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	ts := randomTransactionsCore(r, 20, 5, 12)
 	sets := [][]int{{0, 1}, {2}}
-	for _, workers := range []int{1, 4} {
-		for _, serialBelow := range []int{0, -1} {
-			got := newLabeler(ts, sets, 0.5, 0.5, similarity.Jaccard).run(nil, workers, serialBelow)
-			if len(got) != 0 {
-				t.Fatalf("workers=%d serialBelow=%d: %v assignments for zero candidates", workers, serialBelow, got)
-			}
+	for _, workers := range []int{0, 1, 4} {
+		got := newLabeler(ts, sets, 0.5, 0.5, similarity.Jaccard).run(nil, workers)
+		if len(got) != 0 {
+			t.Fatalf("workers=%d: %v assignments for zero candidates", workers, got)
 		}
 	}
 }
@@ -207,7 +204,7 @@ func TestLabelIndexedOutOfRangeItems(t *testing.T) {
 	theta, f := 0.3, 0.5
 	ref := labelCandidatesReference(ts, candidates, sets, theta, f, similarity.Jaccard)
 	for _, workers := range []int{1, 4} {
-		got := newLabeler(ts, sets, theta, f, similarity.Jaccard).run(candidates, workers, -1)
+		got := newLabeler(ts, sets, theta, f, similarity.Jaccard).run(candidates, workers)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: got %v, ref %v", workers, got, ref)
 		}

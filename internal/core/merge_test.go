@@ -48,10 +48,11 @@ func slotComponents(lt *linkage.Compact, slotOf []int32, slots int) int {
 	return comps
 }
 
-// randomNeighborLists draws up to 2n entries into the lists of n
-// points: short lists, asymmetric, some holding their own point, so the
-// link graph keeps several components and a list often names a point
-// its owner is not linked to.
+// randomNeighborLists draws up to 2n pairs into the lists of n points,
+// each pair into both of its points' lists, so the lists are symmetric
+// as the link layer requires: short lists, some holding their own
+// point, so the link graph keeps several components and a list often
+// names a point its owner is not linked to.
 func randomNeighborLists(r *rand.Rand, n int) *similarity.Neighbors {
 	nb := &similarity.Neighbors{Lists: make([][]int32, n)}
 	for e := r.Intn(2 * n); e > 0; e-- {
@@ -60,6 +61,9 @@ func randomNeighborLists(r *rand.Rand, n int) *similarity.Neighbors {
 			j = l
 		}
 		nb.Lists[l] = append(nb.Lists[l], int32(j))
+		if j != l {
+			nb.Lists[j] = append(nb.Lists[j], int32(l))
+		}
 	}
 	for l, list := range nb.Lists {
 		slices.Sort(list)

@@ -56,12 +56,6 @@ type Model struct {
 
 	lb      *labeler
 	scratch sync.Pool
-
-	// batchSerialBelow overrides AssignBatch's serial crossover: 0 picks
-	// labelSerialCutoff, negative always shards. Unexported — the
-	// oracle tests force the sharded path below the crossover; callers
-	// get the labeling phase's tuned default.
-	batchSerialBelow int
 }
 
 // Freeze snapshots a clustering run into a servable Model, with the
@@ -255,17 +249,13 @@ func canonical(t dataset.Transaction) dataset.Transaction {
 
 // AssignBatch assigns every query transaction, sharding across workers
 // (0 = GOMAXPROCS) on the same chunked-claim loop the labeling phase
-// uses; batches below the labeling phase's serial crossover take the
-// serial loop, where goroutine handoff would cost more than it saves.
-// Queries are independent, so the output is byte-identical for every
-// worker count and either path — assignments in query order, exactly as
-// if Assign had been called serially, non-canonical queries included.
+// uses: workers claim 64 queries at a time, so a batch of 64 or fewer
+// runs on the calling goroutine. Queries are independent, so the output
+// is byte-identical for every worker count — assignments in query
+// order, exactly as if Assign had been called serially, non-canonical
+// queries included.
 func (m *Model) AssignBatch(ts []dataset.Transaction, workers int) []int {
-	serialBelow := m.batchSerialBelow
-	if serialBelow == 0 {
-		serialBelow = labelSerialCutoff
-	}
-	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return canonical(ts[i]) }, workers, serialBelow,
+	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return canonical(ts[i]) }, workers,
 		func() *labelScratch { return m.scratch.Get().(*labelScratch) },
 		func(sc *labelScratch) { m.scratch.Put(sc) })
 }

@@ -67,9 +67,6 @@ func modelFixture(r *rand.Rand, m similarity.Measure) (*Model, []dataset.Transac
 	if err != nil {
 		panic(err)
 	}
-	// The fixtures sit far below the AssignBatch serial crossover; force
-	// the sharded path so the oracle actually exercises it.
-	model.batchSerialBelow = -1
 	queries := ts[split:]
 	return model, ts, sets, queries, cfg.Theta, f
 }
@@ -277,7 +274,6 @@ func TestModelAssignNonCanonicalQuery(t *testing.T) {
 				t.Errorf("%s: Assign(%v) = %d, want %d", c.name, q, got, want[i])
 			}
 		}
-		m.batchSerialBelow = -1
 		for _, workers := range modelWorkerCounts {
 			if got := m.AssignBatch(c.queries, workers); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s workers=%d: AssignBatch = %v, want %v", c.name, workers, got, want)
@@ -313,7 +309,6 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: load: %v", seed, err)
 		}
-		loaded.batchSerialBelow = -1 // exercise the sharded path post-load
 		var b bytes.Buffer
 		if err := loaded.Save(&b); err != nil {
 			t.Fatal(err)

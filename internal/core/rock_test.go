@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,47 @@ func TestClusterPrunesIsolatedPoints(t *testing.T) {
 		if res.Assign[p] != -1 {
 			t.Fatalf("junk point %d was clustered", p)
 		}
+	}
+}
+
+// TestPrunedListsSymmetric: the lists the link layer receives, pruned by
+// degree and renumbered onto the kept points, stay ascending and
+// symmetric, as linkage.Build and CountPairs require, at MinNeighbors 1
+// and 3, with and without a seed partition, whose points are kept
+// whatever their degree.
+func TestPrunedListsSymmetric(t *testing.T) {
+	var pruned [2]int // without and with a seed
+	for trial := int64(0); trial < 40; trial++ {
+		r := rand.New(rand.NewSource(trial))
+		ts, _ := groupedData(2+r.Intn(3), 5+r.Intn(10), trial)
+		ts = append(ts, randomTransactionsCore(r, 10+r.Intn(20), 6, 60)...)
+		var seed [][]int
+		if trial%2 == 1 {
+			seed = randomSeed(r, len(ts), 4)
+		}
+		groupOf, err := seedGroups(seed, len(ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb := similarity.ComputeIndexed(ts, 0.2+0.4*r.Float64(), similarity.Options{IncludeSelf: r.Intn(2) == 0})
+		for _, minNeighbors := range []int{1, 3} {
+			kept, out := pruneByDegree(nb, minNeighbors, groupOf)
+			pruned[trial%2] += len(out)
+			f := filterNeighbors(nb, kept)
+			for i, list := range f.Lists {
+				for k, j := range list {
+					if k > 0 && list[k-1] >= j {
+						t.Fatalf("trial %d min=%d: list %d = %v is not ascending", trial, minNeighbors, i, list)
+					}
+					if _, ok := slices.BinarySearch(f.Lists[j], int32(i)); !ok {
+						t.Fatalf("trial %d min=%d: %d lists %d, but %d does not list %d", trial, minNeighbors, i, j, j, i)
+					}
+				}
+			}
+		}
+	}
+	if pruned[0] == 0 || pruned[1] == 0 {
+		t.Fatalf("pruned %d points without a seed and %d with one; want some on each side", pruned[0], pruned[1])
 	}
 }
 

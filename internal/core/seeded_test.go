@@ -371,15 +371,16 @@ func TestSeedFoldOverflow(t *testing.T) {
 		t.Fatalf("arena merge at K=2: err = %v, want the 2^31 overflow error", err)
 	}
 	cfg.K = 1
-	// 1 lists 0 and 2, and 0 lists 1 and 2: the links 0–2 and 1–2 of lt.
-	nb := &similarity.Neighbors{Lists: [][]int32{{1, 2}, {0, 2}, nil}}
+	// Each point lists the other two: the links 0–2 and 1–2 of lt, and
+	// 0–1 inside slot 0.
+	nb := &similarity.Neighbors{Lists: [][]int32{{1, 2}, {0, 2}, {0, 1}}}
 	var stats Stats
 	res, err := mergePhase(nb, []int32{0, 0, 1}, 2, cfg, &stats)
 	if err != nil || !reflect.DeepEqual(res.clusters, [][]int{{0, 1, 2}}) || res.merges != 1 || res.stoppedEarly {
 		t.Fatalf("merge phase at K=1: %+v, %v; want the one component after one merge", res, err)
 	}
-	if stats.LinkPairs != 2 || stats.LinkEntries != 4 {
-		t.Fatalf("merge phase at K=1: %d link pairs, %d entries; want 2 and 4", stats.LinkPairs, stats.LinkEntries)
+	if stats.LinkPairs != 3 || stats.LinkEntries != 6 {
+		t.Fatalf("merge phase at K=1: %d link pairs, %d entries; want 3 and 6", stats.LinkPairs, stats.LinkEntries)
 	}
 	lt = tableFromPairs(3, map[[2]int]int{{0, 2}: 1 << 30, {1, 2}: 1<<30 - 1})
 	if _, err := newArena(lt, []int32{0, 0, 1}, 2, GoodnessROCK, 0.5); err != nil {

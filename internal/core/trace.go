@@ -31,32 +31,39 @@ type MergeStep struct {
 // the number of clusters reaches k (or the trace is exhausted — ROCK may
 // stop early when links run out). It returns the members of each cluster
 // by initial singleton index, clusters ordered by smallest member. Steps
-// must be a prefix-consistent trace as produced by the engine.
+// must form a trace as the engine records it: step t merges two distinct
+// live clusters A and B into the new id n + t. A negative n, or any
+// step, cut or not, that breaks this, is an error.
 func CutTrace(n int, steps []MergeStep, k int) ([][]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: cut at k=%d", k)
 	}
+	if n < 0 {
+		return nil, fmt.Errorf("core: trace over n=%d points", n)
+	}
 	uf := unionfind.New(n)
-	// Map engine cluster ids to a representative singleton.
-	rep := make(map[int]int, n)
-	for i := 0; i < n; i++ {
+	// rep[id] is a singleton in cluster id while id is live, and -1 once
+	// it has merged away.
+	rep := make([]int, n, n+len(steps))
+	for i := range rep {
 		rep[i] = i
 	}
+	live := func(id int) bool { return id >= 0 && id < len(rep) && rep[id] >= 0 }
 	remaining := n
-	for _, s := range steps {
-		if remaining <= k {
-			break
+	for t, s := range steps {
+		if s.Into != n+t {
+			return nil, fmt.Errorf("core: trace step %d merges into cluster %d, want %d", t, s.Into, n+t)
 		}
-		ra, oka := rep[s.A]
-		rb, okb := rep[s.B]
-		if !oka || !okb {
-			return nil, fmt.Errorf("core: trace references unknown cluster %d or %d", s.A, s.B)
+		if s.A == s.B || !live(s.A) || !live(s.B) {
+			return nil, fmt.Errorf("core: trace step %d merges %d and %d, not two live clusters", t, s.A, s.B)
 		}
-		uf.Union(ra, rb)
-		delete(rep, s.A)
-		delete(rep, s.B)
-		rep[s.Into] = ra
-		remaining--
+		ra := rep[s.A]
+		if remaining > k {
+			uf.Union(ra, rep[s.B])
+			remaining--
+		}
+		rep[s.A], rep[s.B] = -1, -1
+		rep = append(rep, ra)
 	}
 	comps := uf.Components()
 	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -47,13 +48,45 @@ func TestCutTraceReproducesEveryK(t *testing.T) {
 	}
 }
 
+// TestCutTraceErrors: CutTrace rejects a cut below one cluster, a
+// negative n, and a trace the engine cannot record, a failing step past
+// the cut included, and cuts an engine trace at every k.
 func TestCutTraceErrors(t *testing.T) {
-	if _, err := CutTrace(3, nil, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	bad := []MergeStep{{A: 40, B: 41, Into: 42}}
-	if _, err := CutTrace(3, bad, 1); err == nil {
-		t.Fatal("corrupt trace accepted")
+	pairs := map[[2]int]int{{0, 1}: 3, {2, 3}: 2, {1, 2}: 1}
+	engine := agglomerate(4, tableFromPairs(4, pairs), 1, GoodnessROCK, 0.5, 0, 0, true).trace
+	for _, c := range []struct {
+		name    string
+		n       int
+		steps   []MergeStep
+		k       int
+		want    [][]int
+		wantErr string
+	}{
+		{name: "k=0", n: 3, k: 0, wantErr: "k=0"},
+		{name: "negative n", n: -1, k: 1, wantErr: "n=-1"},
+		{name: "unknown clusters", n: 3, steps: []MergeStep{{A: 40, B: 41, Into: 3}}, k: 1, wantErr: "not two live"},
+		{name: "A == B", n: 3, steps: []MergeStep{{A: 0, B: 1, Into: 3}, {A: 3, B: 3, Into: 4}}, k: 1, wantErr: "not two live"},
+		{name: "merged-away cluster", n: 3, steps: []MergeStep{{A: 0, B: 1, Into: 3}, {A: 0, B: 2, Into: 4}}, k: 1, wantErr: "not two live"},
+		{name: "Into below n", n: 3, steps: []MergeStep{{A: 0, B: 1, Into: 2}, {A: 2, B: 2, Into: 3}}, k: 1, wantErr: "into cluster 2, want 3"},
+		{name: "Into skips an id", n: 4, steps: []MergeStep{{A: 0, B: 1, Into: 4}, {A: 2, B: 3, Into: 6}}, k: 1, wantErr: "into cluster 6, want 5"},
+		{name: "Into takes a live id", n: 4, steps: []MergeStep{{A: 0, B: 1, Into: 2}, {A: 2, B: 3, Into: 5}}, k: 1, wantErr: "into cluster 2, want 4"},
+		{name: "bad step past the cut", n: 3, steps: []MergeStep{{A: 0, B: 1, Into: 3}, {A: 3, B: 3, Into: 4}}, k: 2, wantErr: "not two live"},
+		{name: "engine trace k=4", n: 4, steps: engine, k: 4, want: [][]int{{0}, {1}, {2}, {3}}},
+		{name: "engine trace k=3", n: 4, steps: engine, k: 3, want: [][]int{{0, 1}, {2}, {3}}},
+		{name: "engine trace k=2", n: 4, steps: engine, k: 2, want: [][]int{{0, 1}, {2, 3}}},
+		{name: "engine trace k=1", n: 4, steps: engine, k: 1, want: [][]int{{0, 1, 2, 3}}},
+		{name: "no points", n: 0, k: 1, want: [][]int{}},
+	} {
+		got, err := CutTrace(c.n, c.steps, c.k)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: CutTrace = %v, %v; want an error naming %q", c.name, got, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: CutTrace = %v, %v; want %v", c.name, got, err, c.want)
+		}
 	}
 }
 

@@ -3,23 +3,26 @@
 // the neighborhood graph — the paper's central insight is that merging by
 // links is far more robust than merging by raw pairwise similarity.
 //
-// A link count is an entry of A·A for the 0/1 neighbor matrix A. Build
-// counts the entries above the diagonal row by row and mirrors them
-// below it. When the neighbor matrix's bit rows take no more memory
-// than the neighbor lists and their transpose, every row runs on a
-// bitset kernel that counts each candidate as the popcount of two bit
-// rows; otherwise, as on every sparse input, every row runs on the
-// paper's pair counting (every pair of a point's neighbors gains one
-// link through it). The oracles live in this package's tests:
-// FromNeighbors, the paper's serial loop into a map-based Table, and
-// Dense, which recomputes every count as a bitset intersection popcount.
+// A link count is an entry of A·A for the 0/1 neighbor matrix A. The
+// lists Build and CountPairs take are ascending and symmetric (j ∈ N(i)
+// exactly when i ∈ N(j)), as similarity.Neighbors holds them, so A is
+// symmetric and link(i,j) = |N(i) ∩ N(j)|. Build counts the entries
+// above the diagonal row by row and mirrors them below it. When the
+// neighbor matrix's bit rows take no more memory than the neighbor
+// lists, every row runs on a bitset kernel that counts each candidate
+// as the popcount of two bit rows; otherwise, as on every sparse input,
+// every row runs on the paper's pair counting (every pair of a point's
+// neighbors gains one link through it). The oracles live in this
+// package's tests: FromNeighbors, the paper's serial loop into a
+// map-based Table, and Dense, which recomputes every count as a bitset
+// intersection popcount.
 //
 // CountPairs is the count-only pass: it returns Build's Pairs() without
 // keeping a count or building the table, on the kernel Build would pick
-// and with the same transpose and forward bit rows. The pipeline calls
-// it instead of Build when the merge ends at the link graph's
-// components, which it counts from the neighbor lists, and reads no
-// count. Its tests hold it to Build's pair count.
+// and with the same bit rows. The pipeline calls it instead of Build
+// when the merge ends at the link graph's components, which it counts
+// from the neighbor lists, and reads no count. Its tests hold it to
+// Build's pair count.
 //
 // The production representation is Compact, a CSR (compressed sparse
 // row) table with these invariants: rowStart is int64 and has length

@@ -17,9 +17,10 @@ type Options struct {
 }
 
 // Build computes the link table of nb in CSR form, the representation
-// the agglomeration engine consumes. The tests prove it byte-identical
-// to the paper's serial pair counting (FromNeighbors) and to the
-// bitset-popcount oracle (Dense), both in reference_test.go.
+// the agglomeration engine consumes. nb's lists must be ascending and
+// symmetric, as similarity.Neighbors holds them. The tests prove it
+// byte-identical to the paper's serial pair counting (FromNeighbors)
+// and to the bitset-popcount oracle (Dense), both in reference_test.go.
 func Build(nb *similarity.Neighbors, opts Options) *Compact {
 	c, _ := build(nb, opts.Workers)
 	return c
@@ -29,7 +30,7 @@ func Build(nb *similarity.Neighbors, opts Options) *Compact {
 // with a positive link count, without building the table: it keeps no
 // count and assembles no CSR. The merge phase calls it when the link
 // graph's components are its result and no count is read. nb's lists
-// must be ascending, as similarity.Neighbors holds them.
+// must be ascending and symmetric, as similarity.Neighbors holds them.
 func CountPairs(nb *similarity.Neighbors, opts Options) int {
 	p, _ := countPairs(nb, opts.Workers)
 	return p
@@ -54,69 +55,39 @@ func (w *buildWork) add(o buildWork) {
 	w.words += o.words
 }
 
-// transpose returns R, the transpose of the neighbor lists, in CSR form:
-// revCols[revStart[i]:revStart[i+1]] lists every l with i ∈ N(l),
-// ascending (rows are filled in l order). revStart[n] is E, the number
-// of list entries.
-func transpose(nb *similarity.Neighbors) (revStart []int64, revCols []int32) {
+// bitRows applies the memory guard both passes pick their kernel by.
+// It returns F, the bit rows of nb's lists, W = ⌈n/64⌉ words a row (bit
+// j of row l is set for each j in N(l)), and W. F takes 8·n·W bytes and
+// is built only when 2·n·W ≤ E, the number of list entries, so it never
+// takes more bytes than the lists (4 bytes an entry). Otherwise bitRows
+// returns nil and 0, and every row must count pairs.
+func bitRows(nb *similarity.Neighbors) (rows []uint64, words int) {
 	n := nb.Len()
-	revStart = make([]int64, n+1)
-	for _, list := range nb.Lists {
-		for _, j := range list {
-			revStart[j+1]++
-		}
+	_, _, entries := nb.Stats()
+	words = (n + 63) / 64
+	if 2*int64(n)*int64(words) > int64(entries) {
+		return nil, 0
 	}
-	for i := 0; i < n; i++ {
-		revStart[i+1] += revStart[i]
-	}
-	revCols = make([]int32, revStart[n])
-	pos := slices.Clone(revStart[:n])
+	rows = make([]uint64, n*words)
 	for l, list := range nb.Lists {
+		row := rows[l*words : (l+1)*words]
 		for _, j := range list {
-			revCols[pos[j]] = int32(l)
-			pos[j]++
-		}
-	}
-	return revStart, revCols
-}
-
-// bitWords is the memory guard both passes pick their kernel by. Bit
-// rows take W = ⌈n/64⌉ words each, and the forward and transpose rows
-// 2·n·W words of 8 bytes. They fit when 2·n·W ≤ E, the number of list
-// entries: then they never take more bytes than the lists and their
-// transpose (4 bytes an entry each). bitWords returns W when they fit
-// and 0 when every row must count pairs.
-func bitWords(n int, entries int64) int {
-	words := (n + 63) / 64
-	if 2*int64(n)*int64(words) <= entries {
-		return words
-	}
-	return 0
-}
-
-// bitRows returns the bit rows of n column lists, words 64-bit words a
-// row: bit j of row r is set for each j in cols(r).
-func bitRows(n, words int, cols func(r int) []int32) []uint64 {
-	b := make([]uint64, n*words)
-	for r := 0; r < n; r++ {
-		row := b[r*words : (r+1)*words]
-		for _, j := range cols(r) {
 			row[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
-	return b
+	return rows, words
 }
 
-// candidates ORs the forward bit rows F[l], l ∈ reach = R(i), into cand
-// from row i's word on, clears the bits at or below i, and returns that
-// tail of cand: its bits are the points j > i sharing a list with i,
-// which are exactly the points j > i linked to i.
-func candidates(cand, fwd []uint64, words, i int, reach []int32) []uint64 {
+// candidates ORs the bit rows F[l], l ∈ N(i), into cand from row i's
+// word on, clears the bits at or below i, and returns that tail of cand:
+// its bits are the points j > i sharing a list with i, which, the lists
+// being symmetric, are exactly the points j > i linked to i.
+func candidates(cand, rows []uint64, words, i int, nbrs []int32) []uint64 {
 	w0 := i >> 6
 	c := cand[w0:]
 	clear(c)
-	for _, l := range reach {
-		f := fwd[int(l)*words+w0:][:len(c)]
+	for _, l := range nbrs {
+		f := rows[int(l)*words+w0:][:len(c)]
 		for k := range c {
 			c[k] |= f[k]
 		}
@@ -125,20 +96,18 @@ func candidates(cand, fwd []uint64, words, i int, reach []int32) []uint64 {
 	return c
 }
 
-// build counts link(i,j) = |R(i) ∩ R(j)|, where R(i) = {l : i ∈ N(l)} is
-// the transpose of the neighbor lists, for every j > i, and mirrors each
-// count into row j. For symmetric lists R(i) = N(i); building the
-// transpose keeps the count exact for any list structure.
+// build counts link(i,j) = |N(i) ∩ N(j)|, the common neighbors of i and
+// j, for every j > i, and mirrors each count into row j. The lists are
+// symmetric, so N(i) also names the lists that hold i.
 //
 // One of two kernels counts every row of a build, picked by the memory
-// guard (bitWords), so sparse inputs never allocate bit rows and count
+// guard (bitRows), so sparse inputs never allocate bit rows and count
 // every row by pairs:
 //
-//   - the bitset kernel ORs the forward bit rows F[l] (the bits of N(l))
-//     for l ∈ R(i) into the candidate set, then counts each candidate j
-//     as popcount(T[i] AND T[j]) over the transpose bit rows T (the bits
-//     of R(j)), with W = ⌈n/64⌉ words a row;
-//   - pair counting walks N(l) for every l ∈ R(i) and increments a dense
+//   - the bitset kernel ORs the bit rows F[l] for l ∈ N(i) into the
+//     candidate set, then counts each candidate j as
+//     popcount(F[i] AND F[j]), with W = ⌈n/64⌉ words a row;
+//   - pair counting walks N(l) for every l ∈ N(i) and increments a dense
 //     scratch counter for each j > i.
 //
 // Rows are claimed in chunks off chunkwork.Run; each chunk's upper rows
@@ -149,13 +118,7 @@ func build(nb *similarity.Neighbors, workers int) (*Compact, buildWork) {
 	if n == 0 {
 		return &Compact{rowStart: make([]int64, 1)}, buildWork{}
 	}
-	revStart, revCols := transpose(nb)
-	words := bitWords(n, revStart[n])
-	var fwd, rev []uint64
-	if words > 0 {
-		fwd = bitRows(n, words, func(l int) []int32 { return nb.Lists[l] })
-		rev = bitRows(n, words, func(j int) []int32 { return revCols[revStart[j]:revStart[j+1]] })
-	}
+	rows, words := bitRows(nb)
 
 	const chunk = chunkwork.DefaultChunk
 	upCols := make([][]int32, (n+chunk-1)/chunk)
@@ -168,7 +131,7 @@ func build(nb *similarity.Neighbors, workers int) (*Compact, buildWork) {
 		var counts []int32
 		var touched []int32
 		var cand []uint64
-		if fwd != nil {
+		if rows != nil {
 			cand = make([]uint64, words)
 		} else {
 			counts = make([]int32, n)
@@ -176,31 +139,31 @@ func build(nb *similarity.Neighbors, workers int) (*Compact, buildWork) {
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			var cols, cnts []int32
 			for i := lo; i < hi; i++ {
-				reach := revCols[revStart[i]:revStart[i+1]]
+				nbrs := nb.Lists[i]
 				start := len(cols)
-				if fwd != nil {
+				if rows != nil {
 					w0 := i >> 6
-					c := candidates(cand, fwd, words, i, reach)
-					ti := rev[i*words : (i+1)*words]
+					c := candidates(cand, rows, words, i, nbrs)
+					ri := rows[i*words : (i+1)*words]
 					for k, word := range c {
 						for word != 0 {
 							j := (w0+k)<<6 + bits.TrailingZeros64(word)
 							word &= word - 1
-							tj := rev[j*words : (j+1)*words]
+							rj := rows[j*words : (j+1)*words]
 							cnt := 0
-							for x, t := range ti {
-								cnt += bits.OnesCount64(t & tj[x])
+							for x, r := range ri {
+								cnt += bits.OnesCount64(r & rj[x])
 							}
 							cols = append(cols, int32(j))
 							cnts = append(cnts, int32(cnt))
 						}
 					}
 					w.bitRows++
-					w.words += int64(len(reach))*int64(len(c)) + int64(len(cols)-start)*int64(words)
+					w.words += int64(len(nbrs))*int64(len(c)) + int64(len(cols)-start)*int64(words)
 				} else {
-					// Pair counting: each l ∈ R(i) links i to every j > i
+					// Pair counting: each l ∈ N(i) links i to every j > i
 					// in N(l).
-					for _, l := range reach {
+					for _, l := range nbrs {
 						for _, j := range nb.Lists[l] {
 							if int(j) <= i {
 								continue
@@ -270,9 +233,9 @@ func build(nb *similarity.Neighbors, workers int) (*Compact, buildWork) {
 // counting left out.
 //
 //   - Bit rows: the popcount of the candidate set, the OR of F[l] over
-//     l ∈ R(i) with the bits at or below i cleared. No transpose bit
-//     rows are built, and no candidate is AND-popcounted.
-//   - Pair counting: for each l ∈ R(i), the ascending list N(l) is
+//     l ∈ N(i) with the bits at or below i cleared. No candidate is
+//     AND-popcounted.
+//   - Pair counting: for each l ∈ N(i), the ascending list N(l) is
 //     walked from its first entry past i, and a per-worker stamp marks
 //     each j once a row. There is no counter, no sort and no CSR.
 //
@@ -283,12 +246,7 @@ func countPairs(nb *similarity.Neighbors, workers int) (int, buildWork) {
 	if n == 0 {
 		return 0, buildWork{}
 	}
-	revStart, revCols := transpose(nb)
-	words := bitWords(n, revStart[n])
-	var fwd []uint64
-	if words > 0 {
-		fwd = bitRows(n, words, func(l int) []int32 { return nb.Lists[l] })
-	}
+	rows, words := bitRows(nb)
 
 	pairs := 0
 	var work buildWork
@@ -298,25 +256,25 @@ func countPairs(nb *similarity.Neighbors, workers int) (int, buildWork) {
 		p := 0
 		var cand []uint64
 		var stamp []int32
-		if fwd != nil {
+		if rows != nil {
 			cand = make([]uint64, words)
 		} else {
 			stamp = make([]int32, n)
 		}
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for i := lo; i < hi; i++ {
-				reach := revCols[revStart[i]:revStart[i+1]]
-				if fwd != nil {
-					c := candidates(cand, fwd, words, i, reach)
+				nbrs := nb.Lists[i]
+				if rows != nil {
+					c := candidates(cand, rows, words, i, nbrs)
 					for _, word := range c {
 						p += bits.OnesCount64(word)
 					}
 					w.bitRows++
-					w.words += int64(len(reach)) * int64(len(c))
+					w.words += int64(len(nbrs)) * int64(len(c))
 					continue
 				}
 				mark := int32(i) + 1 // unique to row i; the stamps start at 0
-				for _, l := range reach {
+				for _, l := range nbrs {
 					list := nb.Lists[l]
 					k, _ := slices.BinarySearch(list, int32(i)+1)
 					for _, j := range list[k:] {

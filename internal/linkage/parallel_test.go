@@ -26,10 +26,9 @@ func randomTransactions(r *rand.Rand, n, maxItems, vocab int) []dataset.Transact
 // kernelInput is a neighbor set that picks the builder's kernel by
 // itself: the work counts say which ran.
 type kernelInput struct {
-	name      string
-	nb        *similarity.Neighbors
-	symmetric bool // the Dense oracle applies
-	bits      bool // the bit rows fit the memory guard, so every row runs on bits
+	name string
+	nb   *similarity.Neighbors
+	bits bool // the bit rows fit the memory guard, so every row runs on bits
 }
 
 // plantedLabels returns n planted-label records over 4 classes, the
@@ -44,11 +43,7 @@ func plantedLabels(n int) []dataset.Transaction {
 //     the 8,000 words of bit rows, so every row counts pairs;
 //   - 300 planted-label records then 300 baskets on disjoint items
 //     (θ=0.5): the records' lists pay for the bit rows, so the baskets'
-//     short rows run on bits too;
-//   - random asymmetric lists (n=160), never symmetrized: l lists each
-//     j > l with probability 0.6 and each j < l with probability 0.05,
-//     so the forward and transpose bit rows differ and a kernel that
-//     confused them would miscount. Bits.
+//     short rows run on bits too.
 func kernelInputs() []kernelInput {
 	records := plantedLabels(300)
 	mixed := append([]dataset.Transaction(nil), records...)
@@ -64,21 +59,10 @@ func kernelInputs() []kernelInput {
 	// The sparse input core's TestEngineWorkCounts merges.
 	sparse := synth.Basket(synth.BasketConfig{Transactions: 500, Clusters: 5, TemplateItems: 15, TransactionSize: 12, Seed: 1})
 
-	r := rand.New(rand.NewSource(5))
-	asym := &similarity.Neighbors{Lists: make([][]int32, 160)}
-	for l := range asym.Lists {
-		for j := range asym.Lists {
-			if j < l && r.Float64() < 0.05 || j > l && r.Float64() < 0.6 {
-				asym.Lists[l] = append(asym.Lists[l], int32(j))
-			}
-		}
-	}
-
 	return []kernelInput{
-		{"dense-labels n=300", similarity.ComputeIndexed(records, 0.5, similarity.Options{}), true, true},
-		{"sparse-baskets n=500", similarity.ComputeIndexed(sparse.Trans, 0.6, similarity.Options{}), true, false},
-		{"mixed n=600", similarity.ComputeIndexed(mixed, 0.5, similarity.Options{}), true, true},
-		{"dense asymmetric n=160", asym, false, true},
+		{"dense-labels n=300", similarity.ComputeIndexed(records, 0.5, similarity.Options{}), true},
+		{"sparse-baskets n=500", similarity.ComputeIndexed(sparse.Trans, 0.6, similarity.Options{}), false},
+		{"mixed n=600", similarity.ComputeIndexed(mixed, 0.5, similarity.Options{}), true},
 	}
 }
 
@@ -151,7 +135,7 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 
 	for _, in := range kernelInputs() {
 		serial := CompactFrom(FromNeighbors(in.nb))
-		if in.symmetric && !serial.Equal(CompactFrom(Dense(in.nb))) {
+		if !serial.Equal(CompactFrom(Dense(in.nb))) {
 			t.Fatalf("%s: reference algorithms disagree", in.name)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
@@ -230,32 +214,6 @@ func TestBuildWorkCounts(t *testing.T) {
 			if _, work := build(in.nb, w); work != pin {
 				t.Errorf("%s workers=%d: work %+v, want %+v", in.name, w, work, pin)
 			}
-		}
-	}
-}
-
-// asymmetricLists returns four lists no measure produces but the
-// pair-counting definition permits: 1 lists 2 but not 0, and 2 lists
-// nobody.
-func asymmetricLists() *similarity.Neighbors {
-	return &similarity.Neighbors{Lists: [][]int32{
-		{1, 2, 3}, // 0's neighbors
-		{2},       // 1 lists 2 but not 0
-		{},        // 2 lists nobody
-		{0, 1},    // 3
-	}}
-}
-
-// The transpose inside Build makes it exact even for
-// asymmetric neighbor lists (which no measure produces, but the
-// pair-counting definition permits): it must match FromNeighbors, whose
-// contract is pair counting, not the symmetric-only Dense oracle.
-func TestParallelCSRAsymmetricLists(t *testing.T) {
-	nb := asymmetricLists()
-	want := CompactFrom(FromNeighbors(nb))
-	for _, w := range []int{1, 2, 4} {
-		if got := Build(nb, Options{Workers: w}); !got.Equal(want) {
-			t.Fatalf("workers=%d: asymmetric lists mishandled", w)
 		}
 	}
 }

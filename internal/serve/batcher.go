@@ -13,15 +13,14 @@ import (
 // The batcher accumulates the queries of concurrent /assign requests
 // into one open batch and flushes it, as one AssignBatch call, when
 // either the batch reaches MaxBatch queries or FlushEvery elapses since
-// the batch opened — the classic size-or-deadline coalescing loop. At
-// the defaults a flush of small requests never reaches the sharded
-// labeler: MaxBatch (256) is below AssignBatch's serial cutoff (1,024
-// queries), so the flush runs the serial loop on one goroutine. Only a
-// single request that carries a flush past 1,024 queries shards. What
-// coalescing saves is per-call overhead; what it costs is up to
-// FlushEvery of waiting (ROADMAP item 12). Requests block
-// until their flush completes and receive exactly their slice of the
-// results, so coalescing is invisible to callers beyond latency.
+// the batch opened — the classic size-or-deadline coalescing loop.
+// AssignBatch's workers claim 64 queries at a time, so a flush of 64
+// queries or fewer runs on one goroutine, and a larger one, such as a
+// full MaxBatch (256), shards across the workers. What coalescing saves
+// is per-call overhead; what it costs is up to FlushEvery of waiting.
+// Requests block until their flush completes and receive exactly their
+// slice of the results, so coalescing is invisible to callers beyond
+// latency.
 //
 // Batches never mix model generations: every batch is tied to the
 // liveModel its first request acquired, because query transactions are

@@ -7,10 +7,10 @@
 //
 //   - Request coalescing (batcher.go): concurrent POST /assign requests
 //     accumulate into a shared batch, flushed by size or deadline, that
-//     one AssignBatch call answers. At the defaults a flush of small
-//     requests stays below AssignBatch's 1,024-query serial cutoff, so it
-//     runs the serial loop on one goroutine, not the sharded labeler;
-//     coalescing saves per-call overhead only (ROADMAP item 12).
+//     one AssignBatch call answers. AssignBatch's workers claim 64
+//     queries at a time, so a flush of 64 queries or fewer runs on one
+//     goroutine and a larger one shards; coalescing saves per-call
+//     overhead and costs up to FlushEvery of waiting.
 //   - Atomic hot-swap reload: the current model lives behind an
 //     atomic.Pointer; POST /-/reload (or SIGHUP in cmd/rockserve) loads
 //     and fully validates the new file BEFORE swapping, then waits for

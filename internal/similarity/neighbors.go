@@ -10,8 +10,11 @@ import (
 )
 
 // Neighbors holds the θ-neighbor lists of a dataset: Lists[i] is the
-// sorted slice of indices j with sim(i,j) ≥ θ. Whether i itself appears in
-// Lists[i] is controlled by Options.IncludeSelf.
+// ascending slice of indices j with sim(i,j) ≥ θ. Whether i itself
+// appears in Lists[i] is controlled by Options.IncludeSelf. Every measure
+// is symmetric, so the lists are too: j ∈ Lists[i] exactly when
+// i ∈ Lists[j]. The link layer (linkage.Build and CountPairs) relies on
+// both properties.
 type Neighbors struct {
 	Lists [][]int32
 }

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -200,17 +201,42 @@ func TestWorkerCountIrrelevant(t *testing.T) {
 	}
 }
 
-func TestNeighborSymmetry(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ts := make([]dataset.Transaction, 100)
-	for i := range ts {
-		ts[i] = randTrans(r, 20, 9)
+// checkSymmetric fails unless every list of nb is strictly ascending and
+// j ∈ N(i) exactly when i ∈ N(j): the contract the link layer builds on.
+func checkSymmetric(t *testing.T, label string, nb *Neighbors) {
+	t.Helper()
+	for i, list := range nb.Lists {
+		for k, j := range list {
+			if k > 0 && list[k-1] >= j {
+				t.Fatalf("%s: list %d = %v is not ascending", label, i, list)
+			}
+			if _, ok := slices.BinarySearch(nb.Lists[j], int32(i)); !ok {
+				t.Fatalf("%s: %d lists %d, but %d does not list %d", label, i, j, j, i)
+			}
+		}
 	}
-	nb := ComputeIndexed(ts, 0.3, Options{})
-	for i := range ts {
-		for _, j := range nb.Lists[i] {
-			if !slices.Contains(nb.Lists[int(j)], int32(i)) {
-				t.Fatalf("asymmetric: %d has neighbor %d but not vice versa", i, j)
+}
+
+// TestNeighborListsSymmetric: Compute and ComputeIndexed return ascending,
+// symmetric lists for every measure, with and without IncludeSelf, at θ
+// from 0 to 1 and at several worker counts, over random transactions
+// with empty and one-item ones among them.
+func TestNeighborListsSymmetric(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	ts := []dataset.Transaction{tr(), tr(4)}
+	for range 100 {
+		ts = append(ts, randTrans(r, 20, 9))
+	}
+	ts = append(ts, tr(), tr(4), tr(9))
+	for _, m := range []Measure{Jaccard, Dice, Cosine, Overlap} {
+		for _, theta := range []float64{0, 0.3, 0.35, 0.5, 1} {
+			for _, self := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 4} {
+					opts := Options{Measure: m, IncludeSelf: self, Workers: workers}
+					label := fmt.Sprintf("%s θ=%g self=%v workers=%d", m, theta, self, workers)
+					checkSymmetric(t, "Compute "+label, Compute(ts, theta, opts))
+					checkSymmetric(t, "ComputeIndexed "+label, ComputeIndexed(ts, theta, opts))
+				}
 			}
 		}
 	}

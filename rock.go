@@ -33,7 +33,8 @@ type (
 // CutTrace replays a merge trace (Result.MergeTrace over
 // len(Result.TracePoints) singletons) and stops at k clusters, returning
 // members by trace singleton index — clusterings at every granularity
-// from a single run.
+// from a single run. A trace the engine cannot record, one whose step t
+// does not merge two distinct live clusters into id n + t, is an error.
 func CutTrace(n int, steps []MergeStep, k int) ([][]int, error) {
 	return core.CutTrace(n, steps, k)
 }
